@@ -131,17 +131,17 @@ def test_compare_serial_vs_parallel_and_cache(benchmark, tmp_path):
     parallel = SuiteRunner(arch="V100")
     parallel_rows = benchmark.pedantic(
         parallel.compare, args=(benches, frameworks),
-        kwargs={"_workers": COMPARE_WORKERS}, rounds=1, iterations=1,
+        kwargs={"workers": COMPARE_WORKERS}, rounds=1, iterations=1,
     )
     parallel_s = parallel.last_stats.total_s
     assert _flatten(parallel_rows) == _flatten(serial_rows)  # determinism
 
-    cache_dir = tmp_path / "evalcache"
-    cold = SuiteRunner(arch="V100", _cache_dir=cache_dir)
-    cold_rows = cold.compare(benches, frameworks, _workers=COMPARE_WORKERS)
-    warm = SuiteRunner(arch="V100", _cache_dir=cache_dir)
+    store_dir = tmp_path / "evalstore"
+    cold = SuiteRunner(arch="V100", store_dir=store_dir)
+    cold_rows = cold.compare(benches, frameworks, workers=COMPARE_WORKERS)
+    warm = SuiteRunner(arch="V100", store_dir=store_dir)
     t0 = time.perf_counter()
-    warm_rows = warm.compare(benches, frameworks, _workers=COMPARE_WORKERS)
+    warm_rows = warm.compare(benches, frameworks, workers=COMPARE_WORKERS)
     warm_s = time.perf_counter() - t0
     assert warm.last_stats.evaluated == 0  # zero re-evaluations
     assert warm.last_stats.cache_hits == len(benches) * len(frameworks)

@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
-"""Iterative CCD-style amplitude equations over cached kernels.
+"""Iterative CCD-style amplitude equations over reused kernels.
 
 Production coupled-cluster codes evaluate the same handful of
-contractions every sweep of the amplitude iteration — the use case the
-kernel cache exists for.  This example builds the three canonical
+contractions every sweep of the amplitude iteration — the use case
+kernel reuse exists for.  This example builds the three canonical
 doubles diagrams (particle-particle ladder, hole-hole ladder, ring),
 generates one COGENT kernel each, and iterates the amplitudes to
 convergence, validating the whole solve against a pure-einsum twin.

@@ -24,7 +24,6 @@ Public API highlights:
 from .core.constraints import ConstraintChecker, ConstraintPolicy
 from .core.costmodel import CostModel, TransactionEstimate
 from .core.enumeration import Enumerator, enumerate_configs
-from .core.cache import KernelCache, contract
 from .core.generator import Cogent, GeneratedKernel
 from .core.library import KernelLibrary
 from .core.merging import MergeSpec, merge_candidates, normalize
@@ -57,6 +56,7 @@ from .api import (
     Options,
     compile,
     compile_many,
+    contract,
     evaluate,
     last_trace,
     rank,
@@ -91,7 +91,6 @@ __all__ = [
     "GpuSimulator",
     "IndexKind",
     "IndexMapping",
-    "KernelCache",
     "KernelConfig",
     "KernelLibrary",
     "KernelPlan",

@@ -1,20 +1,22 @@
-"""The blessed high-level API: one options object, four verbs.
+"""The high-level API: one options object, a handful of verbs.
 
-Historically the knobs that shape a run — process-pool width, search
-beam, cache directory, target architecture, precision — were scattered
-as keyword arguments across :class:`repro.core.generator.Cogent`,
-:meth:`repro.evaluation.runner.SuiteRunner.compare` and
-:meth:`repro.core.enumeration.Enumerator.search`.  This module gathers
-them into one frozen :class:`Options` dataclass and exposes the four
-common entry points as plain functions:
+The knobs that shape a run — process-pool width, search beam, store
+directory, target architecture, precision — live in one frozen
+:class:`Options` dataclass, and the common entry points are plain
+functions:
 
 * :func:`compile`  — generate the best kernel for one contraction;
+* :func:`compile_many` / :func:`compile_network` — dedup-first
+  compilation of workload batches and n-ary networks;
+* :func:`contract` — contract two numpy operands through a kernel;
 * :func:`rank`     — cost-model ranking of the pruned configurations;
 * :func:`evaluate` — run benchmark × framework comparison grids;
 * :func:`tune`     — the TC-style genetic autotuner baseline.
 
-The old keyword paths still work but emit :class:`DeprecationWarning`
-(behaviour is unchanged).  Typical use::
+Every kernel goes through :class:`repro.core.program.CompilationSession`,
+and everything persisted lands in one
+:class:`repro.core.program.KernelStore` under ``Options.store_dir``.
+Typical use::
 
     from repro import api
 
@@ -37,13 +39,15 @@ from typing import (
     Dict, Iterator, List, Optional, Sequence, Tuple, Union,
 )
 
+import numpy as np
+
 from . import obs
-from .core.cache import KernelCache
 from .core.enumeration import ENGINES
 from .core.generator import Cogent, GeneratedKernel
 from .core.ir import Contraction
 from .core.mapping import KernelConfig
 from .core.parser import SizesArg, parse
+from .core.program import CompilationSession
 from .evaluation.runner import ComparisonRow, SuiteRunner
 from .gpu.arch import ARCHS
 from .tccg.suite import Benchmark
@@ -53,6 +57,7 @@ __all__ = [
     "compile",
     "compile_many",
     "compile_network",
+    "contract",
     "evaluate",
     "last_trace",
     "rank",
@@ -78,10 +83,6 @@ class Options:
         Search beam: number of top model-ranked candidates kept and
         micro-benchmarked on the simulator.  ``top_k=1`` selects purely
         by the cost model (the paper's primary mode).
-    cache_dir:
-        Directory for persistent caches — generated-kernel packages in
-        :func:`compile`, framework evaluation results in
-        :func:`evaluate`.  ``None`` disables persistence.
     arch:
         Target GPU name (``"P100"`` or ``"V100"``).
     dtype:
@@ -94,11 +95,13 @@ class Options:
         vectorized) or ``"object"`` (per-plan oracle path).  Both
         return bit-identical rankings.
     store_dir:
-        Directory for the content-addressed persistent kernel store
-        used by :func:`compile_many` (dedup-first workload
-        compilation).  Warm runs against a populated store perform
-        zero configuration searches.  ``None`` disables persistence
-        (dedup within one call still applies).
+        Directory for the content-addressed persistent
+        :class:`~repro.core.program.KernelStore`: kernel class winners
+        (every compile verb and :func:`contract`), framework-evaluation
+        cells (:func:`evaluate`) and calibration fits (:func:`tune`).
+        Warm runs against a populated store perform zero configuration
+        searches.  ``None`` disables persistence (dedup within one call
+        still applies).
     strategy:
         Execution-strategy family: ``"direct"`` (default, the paper's
         searched kernel), ``"ttgt"``, ``"gett"``, ``"batched"``, or
@@ -133,7 +136,6 @@ class Options:
 
     workers: int = 1
     top_k: int = 64
-    cache_dir: Optional[Union[str, Path]] = None
     arch: str = "V100"
     dtype: str = "double"
     trace: bool = False
@@ -235,18 +237,15 @@ def _traced(options: Options, command: str) -> Iterator[None]:
 
 
 def _generator(options: Options) -> Cogent:
-    generator = Cogent(
+    return Cogent(
         arch=options.arch,
         dtype_bytes=options.dtype_bytes,
         top_k=options.top_k,
         engine=options.engine,
         strategy=options.strategy,
         target=options.target,
+        workers=options.workers,
     )
-    # Attribute assignment, not the constructor keyword: the keyword is
-    # the deprecated spelling this facade replaces.
-    generator.workers = options.workers
-    return generator
 
 
 def compile(
@@ -260,19 +259,13 @@ def compile(
     ``expression`` may use any syntax accepted by
     :func:`repro.core.parser.parse`, or be an already-built
     :class:`~repro.core.ir.Contraction` (``sizes`` is then ignored).
-    With ``options.cache_dir`` set, generated kernels persist on disk
-    and repeat calls replay them.
+    A one-element :func:`compile_many`: with ``options.store_dir`` set,
+    the winner persists and later processes rebuild it without a search.
     """
     with _traced(options, "compile"):
-        generator = _generator(options)
-        if options.cache_dir is not None:
-            contraction = (
-                parse(expression, sizes)
-                if isinstance(expression, str) else expression
-            )
-            cache = KernelCache(generator, directory=options.cache_dir)
-            return cache.get(contraction)
-        return generator.generate(expression, sizes, kernel_name)
+        return compile_many(
+            [expression], sizes, options, kernel_name
+        ).kernels[0]
 
 
 def compile_many(
@@ -294,8 +287,6 @@ def compile_many(
     ``kernels`` align with ``expressions`` and whose ``stats`` report
     classes, dedup hits and store hits.
     """
-    from .core.program import CompilationSession
-
     with _traced(options, "compile_many"):
         session = CompilationSession(
             _generator(options), store=options.store_dir
@@ -381,19 +372,73 @@ def evaluate(
 ) -> List[ComparisonRow]:
     """Evaluate a benchmark × framework comparison grid.
 
-    Cells fan out over ``options.workers`` processes and persist in an
-    evaluation cache under ``options.cache_dir`` (when set); results are
-    identical to a serial, uncached run.
+    Cells fan out over ``options.workers`` processes and persist in
+    the store under ``options.store_dir`` (when set); results are
+    identical to a serial, unstored run.
     """
     with _traced(options, "evaluate"):
         runner = SuiteRunner(
             arch=options.arch,
             dtype_bytes=options.dtype_bytes,
-            _cache_dir=options.cache_dir,
+            store_dir=options.store_dir,
         )
         return runner.compare(
-            benchmarks, frameworks, _workers=options.workers
+            benchmarks, frameworks, workers=options.workers
         )
+
+
+#: One process-wide compilation session per ``Options`` for
+#: :func:`contract`, so repeated shapes search once per process.
+_CONTRACT_SESSIONS: Dict[Options, CompilationSession] = {}
+
+
+def contract(
+    expression: str,
+    a: np.ndarray,
+    b: np.ndarray,
+    options: Options = DEFAULT_OPTIONS,
+) -> np.ndarray:
+    """Contract ``a`` and ``b`` per ``expression`` via a COGENT kernel.
+
+    The expression may use any supported syntax; the operand shapes
+    bind the index extents and the operand dtype picks the precision
+    (``options.dtype`` is overridden).  Kernels come from a process-wide
+    :class:`~repro.core.program.CompilationSession` per options, keyed
+    on exact extents: each distinct shape searches once, and renamed
+    isomorphic contractions share that search.  The kernel's schedule
+    is executed numerically (the validation path) — on a real GPU the
+    same call would launch ``kernel.source("cuda")``.
+
+    >>> import numpy as np
+    >>> a = np.random.rand(8, 5); b = np.random.rand(5, 9)
+    >>> c = contract("ab-ak-kb", a, b)
+    >>> np.allclose(c, a @ b)
+    True
+    """
+    probe = parse(expression, 2)
+    sizes: Dict[str, int] = {}
+    for tensor, array in ((probe.a, a), (probe.b, b)):
+        if array.ndim != tensor.ndim:
+            raise ValueError(
+                f"operand {tensor.name} has {array.ndim} axes, expected "
+                f"{tensor.ndim} for {expression!r}"
+            )
+        for index, extent in zip(tensor.indices, array.shape):
+            if sizes.setdefault(index, extent) != extent:
+                raise ValueError(
+                    f"inconsistent extent for index {index!r}"
+                )
+    options = options.evolve(
+        dtype="single" if a.dtype == np.float32 else "double"
+    )
+    session = _CONTRACT_SESSIONS.get(options)
+    if session is None:
+        session = _CONTRACT_SESSIONS[options] = CompilationSession(
+            _generator(options), store=options.store_dir
+        )
+    with _traced(options, "contract"):
+        kernel = session.compile([parse(expression, sizes)]).kernels[0]
+    return kernel.execute(a, b)
 
 
 def tune(

@@ -1,4 +1,4 @@
-"""An iterative CCD-style amplitude solver built on cached kernels.
+"""An iterative CCD-style amplitude solver built on reused kernels.
 
 The 19 CCSD contractions in the TCCG suite come from the doubles
 amplitude equations, which production codes solve by fixed-point
@@ -10,21 +10,20 @@ This driver reproduces that *structure* with three canonical diagram
 shapes (particle-particle ladder, hole-hole ladder, ring), synthetic
 integrals scaled for contractivity, genuine denominators, and a
 correlation-energy functional — evaluating every contraction through
-COGENT kernels fetched from a :class:`~repro.core.cache.KernelCache`
-(the same three kernels are reused across sweeps, which is exactly the
-scenario kernel caching exists for).  A pure-``einsum`` twin validates
+COGENT kernels compiled once and held in a per-diagram kernel dict (the
+same three kernels are reused across sweeps, which is exactly the
+scenario kernel reuse exists for).  A pure-``einsum`` twin validates
 every sweep.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..core.cache import KernelCache
-from ..core.generator import Cogent
+from ..core.generator import Cogent, GeneratedKernel
 from ..core.parser import parse_compact
 from ..gpu.executor import reference_contract
 
@@ -63,9 +62,10 @@ class CcsdDriver:
     ) -> None:
         self.no = n_occupied
         self.nv = n_virtual
-        self.cache = KernelCache(generator or Cogent())
+        self.generator = generator or Cogent()
         self.store_dir = store_dir
-        self._precompiled = False
+        #: Compiled kernels by diagram name, reused across sweeps.
+        self.kernels: Dict[str, GeneratedKernel] = {}
         rng = np.random.default_rng(seed)
         nv, no = self.nv, self.no
         # Synthetic integral blocks, symmetrised and scaled so the
@@ -106,23 +106,26 @@ class CcsdDriver:
         process performs zero searches.  Diagrams keep their exact
         :class:`Contraction` objects (workload mode never rewrites
         operand or output index orders), so kernels are bit-identical
-        to per-diagram compilation.  The resulting kernels seed the
-        sweep-level :class:`KernelCache`, so every subsequent
-        :meth:`residual` sweep is a pure cache hit.
+        to per-diagram compilation.  The resulting kernels fill
+        :attr:`kernels`, so every subsequent :meth:`residual` sweep
+        reuses them without generating anything.
         """
         from ..core.pipeline import NetworkPipeline
 
-        pipeline = NetworkPipeline(
-            self.cache.generator, store=self.store_dir
-        )
-        contractions = [self._contraction(expr) for _, expr in DIAGRAMS]
+        pipeline = NetworkPipeline(self.generator, store=self.store_dir)
         net = pipeline.compile_workload(
-            contractions, kernel_names=[name for name, _ in DIAGRAMS]
+            [self._contraction(expr) for _, expr in DIAGRAMS],
+            kernel_names=[name for name, _ in DIAGRAMS],
         )
-        for contraction, kernel in zip(contractions, net.kernels):
-            self.cache.put(contraction, kernel)
-        self._precompiled = True
+        for (name, _), kernel in zip(DIAGRAMS, net.kernels):
+            self.kernels[name] = kernel
         return net.stats
+
+    def compiled(self) -> Dict[str, GeneratedKernel]:
+        """The per-diagram kernels, compiled on first use."""
+        if len(self.kernels) < len(DIAGRAMS):
+            self.precompile()
+        return self.kernels
 
     def residual(
         self, t2: np.ndarray, use_kernels: bool = True
@@ -133,8 +136,7 @@ class CcsdDriver:
             contraction = self._contraction(expr)
             a, b = self._diagram_operands(name, t2)
             if use_kernels:
-                kernel = self.cache.get(contraction)
-                out += kernel.execute(a, b)
+                out += self.compiled()[name].execute(a, b)
             else:
                 out += reference_contract(contraction, a, b)
         return out
@@ -161,8 +163,6 @@ class CcsdDriver:
         tolerance: float = 1e-10,
         use_kernels: bool = True,
     ) -> CcsdResult:
-        if use_kernels and not self._precompiled:
-            self.precompile()
         t2 = np.zeros_like(self.v_oovv)
         norms: List[float] = []
         energies: List[float] = []
@@ -178,11 +178,11 @@ class CcsdDriver:
                 converged = True
                 break
         sweep_time = 0.0
-        for name, expr in DIAGRAMS:
-            kernel = self.cache.get(self._contraction(expr))
+        for name, _ in DIAGRAMS:
+            kernel = self.compiled()[name]
             sim = kernel.candidates[0].simulated
             if sim is None:
-                sim = self.cache.generator.predict(kernel.plan)
+                sim = self.generator.predict(kernel.plan)
             sweep_time += sim.time_s
         return CcsdResult(
             energy=energies[-1],
@@ -200,10 +200,10 @@ class CcsdDriver:
             f"  converged  : {result.converged} in "
             f"{result.iterations} sweeps",
             f"  energy     : {result.energy:+.10f}",
-            f"  kernels    : {len(self.cache)} generated, "
-            f"{self.cache.hits} cache hits across sweeps",
+            f"  kernels    : {len(self.kernels)} compiled once, reused "
+            f"by all {result.iterations} sweeps",
             f"  sweep time : {result.predicted_sweep_time_s * 1e6:.1f} "
-            f"us predicted on {self.cache.generator.arch.name}",
+            f"us predicted on {self.generator.arch.name}",
         ]
         for pos, norm in enumerate(result.residual_norms[:8], start=1):
             lines.append(f"    sweep {pos:>2}  |dT| = {norm:.3e}")

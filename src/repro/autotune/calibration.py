@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -49,7 +49,12 @@ from ..core.costmodel import (
 from ..core.generator import Cogent
 from ..core.ir import Contraction
 from ..core.plan import KernelPlan
-from ..core.program import STORE_VERSION, KernelStore, code_version_stamp
+from ..core.program import (
+    STORE_VERSION,
+    KernelStore,
+    code_version_stamp,
+    open_store,
+)
 from ..gpu.arch import GpuArch, get_arch
 from ..gpu.memory import count_transactions
 from ..gpu.occupancy import compute_occupancy
@@ -381,13 +386,11 @@ def fit_calibration(
     """Fit per-regime, per-head corrections on ``samples``.
 
     Deterministic: identical samples (in any order) produce identical
-    coefficients — rows are sorted on a stable key before the solve.
+    coefficients — rows are sorted on every sample field before the
+    solve, so ties on a partial key cannot reorder the ridge sums.
     """
     with obs.span("calibration.fit"):
-        ordered = sorted(
-            samples,
-            key=lambda s: (s.benchmark, s.regime, s.features),
-        )
+        ordered = sorted(samples, key=astuple)
         coefficients: Dict[str, Dict[str, Tuple[float, ...]]] = {}
         for regime in REGIMES:
             rows = [s for s in ordered if s.regime == regime]
@@ -612,8 +615,7 @@ def save_calibration(
     store: Union[str, Path, KernelStore], model: CalibrationModel
 ) -> str:
     """Persist ``model``; returns the store key."""
-    if not isinstance(store, KernelStore):
-        store = KernelStore(store)
+    store = open_store(store)
     key = calibration_key(model.arch, model.dtype_bytes,
                           stamp=model.code_stamp)
     payload = {"store_version": STORE_VERSION, "kind": "calibration"}
@@ -633,8 +635,7 @@ def load_calibration(
     not a calibration, or its code stamp differs from the running
     code's — a newer cost model never reuses stale coefficients.
     """
-    if not isinstance(store, KernelStore):
-        store = KernelStore(store)
+    store = open_store(store)
     payload = store.lookup(calibration_key(arch, dtype_bytes))
     if payload is None or payload.get("kind") != "calibration":
         obs.inc("autotune.calibration.store_misses")

@@ -33,7 +33,7 @@ Subcommands
     (span-tree flamegraph plus metric counters).
 
 The ``gen``/``rank``/``bench``/``batch``/``report``/``tune`` commands
-share normalized ``--arch``/``--dtype``/``--workers``/``--cache-dir``/
+share normalized ``--arch``/``--dtype``/``--workers``/``--store-dir``/
 ``--json`` flags with identical semantics, and ``gen``/``bench``/
 ``batch``/``tune`` accept ``--trace``/``--metrics-out`` to record an
 observability session around the run.  ``rank`` and ``bench`` accept
@@ -89,13 +89,13 @@ def _common_parent() -> argparse.ArgumentParser:
 
 
 def _run_parent() -> argparse.ArgumentParser:
-    """Shared ``--workers``/``--cache-dir``/``--json`` flags.
+    """Shared ``--workers``/``--store-dir``/``--json`` flags.
 
     Semantics are identical on every command that accepts them:
     ``--workers`` is the process-pool width (1 = serial; parallel runs
-    are deterministic and identical to serial), ``--cache-dir`` the
-    directory for persistent result caches, ``--json`` a file to also
-    write the command's results to as JSON.
+    are deterministic and identical to serial), ``--store-dir`` the
+    persistent :class:`~repro.core.program.KernelStore` directory,
+    ``--json`` a file to also write the command's results to as JSON.
     """
     p = argparse.ArgumentParser(add_help=False)
     p.add_argument(
@@ -103,8 +103,9 @@ def _run_parent() -> argparse.ArgumentParser:
         help="process-pool width (default 1 = serial)",
     )
     p.add_argument(
-        "--cache-dir", metavar="DIR",
-        help="directory for persistent result caches",
+        "--store-dir", metavar="DIR",
+        help="persistent store for kernels, evaluation cells and "
+        "calibration fits; warm runs against it perform zero searches",
     )
     p.add_argument(
         "--json", metavar="FILE",
@@ -182,30 +183,24 @@ def _resolve_contraction(
 
 
 def _make_generator(args: argparse.Namespace, **extra) -> Cogent:
-    """Build a Cogent from normalized CLI flags (no deprecated kwargs)."""
-    cogent = Cogent(
+    """Build a Cogent from normalized CLI flags."""
+    return Cogent(
         arch=args.arch, dtype_bytes=_dtype_bytes(args),
         engine=getattr(args, "engine", "columnar"),
-        target=getattr(args, "target", None) or "cuda", **extra
+        target=getattr(args, "target", None) or "cuda",
+        workers=max(1, getattr(args, "workers", 1)), **extra
     )
-    cogent.workers = max(1, getattr(args, "workers", 1))
-    return cogent
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
     """Generate a kernel and print/write the chosen backend's source."""
+    from .core.program import CompilationSession
+
     cogent = _make_generator(
         args, top_k=args.top_k, allow_split=not args.no_split
     )
-    contraction = _resolve_contraction(args)
-    if args.cache_dir:
-        from .core.cache import KernelCache
-
-        kernel = KernelCache(cogent, directory=args.cache_dir).get(
-            contraction
-        )
-    else:
-        kernel = cogent.generate(contraction)
+    session = CompilationSession(cogent, store=args.store_dir)
+    kernel = session.compile([_resolve_contraction(args)]).kernels[0]
     # --target selects a registered backend directly; the legacy --emit
     # spellings map onto the same registry names ("driver" = the cuda
     # host driver).
@@ -440,10 +435,10 @@ def cmd_bench(args: argparse.Namespace) -> int:
     runner = SuiteRunner(
         arch=args.arch,
         dtype_bytes=_dtype_bytes(args),
-        _cache_dir=args.cache_dir,
+        store_dir=args.store_dir,
     )
     frameworks = args.frameworks.split(",")
-    rows = runner.compare(benches, frameworks, _workers=args.workers)
+    rows = runner.compare(benches, frameworks, workers=args.workers)
     stats = runner.last_stats
     selector = _strategy_selector(args)
     suite_selection = None
@@ -487,7 +482,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
             "arch": args.arch,
             "dtype": args.dtype,
             "workers": args.workers,
-            "cache_dir": args.cache_dir,
+            "store_dir": args.store_dir,
             "stats": stats.as_dict(),
             "rows": [
                 {
@@ -541,11 +536,9 @@ def cmd_batch(args: argparse.Namespace) -> int:
         dtype_bytes=_dtype_bytes(args),
         top_k=args.top_k,
         engine=getattr(args, "engine", "columnar"),
+        workers=max(1, args.search_workers),
     )
-    cogent.workers = max(1, args.search_workers)
-    session = CompilationSession(
-        cogent, store=args.store_dir or args.cache_dir
-    )
+    session = CompilationSession(cogent, store=args.store_dir)
     contractions = [bench.contraction() for bench in benches]
     start = time.perf_counter()
     program = session.compile(contractions, workers=args.workers)
@@ -707,7 +700,7 @@ def cmd_report(args: argparse.Namespace) -> int:
         quick=not args.full,
         archs=archs,
         workers=args.workers,
-        cache_dir=args.cache_dir,
+        store_dir=args.store_dir,
     )
     if args.output:
         with open(args.output, "w") as handle:
@@ -722,7 +715,7 @@ def cmd_report(args: argparse.Namespace) -> int:
             "quick": not args.full,
             "archs": list(archs),
             "workers": args.workers,
-            "cache_dir": args.cache_dir,
+            "store_dir": args.store_dir,
             "report": text,
         }
         with open(args.json, "w") as handle:
@@ -986,11 +979,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(only useful with --workers 1)",
     )
     p_batch.add_argument("--top-k", type=int, default=64)
-    p_batch.add_argument(
-        "--store-dir", metavar="DIR",
-        help="persistent dedup kernel store (defaults to --cache-dir); "
-        "warm runs against a populated store perform zero searches",
-    )
     p_batch.set_defaults(func=cmd_batch)
 
     p_compile = sub.add_parser(
@@ -1012,10 +1000,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_compile.add_argument("--limit", type=int, default=0)
     p_compile.add_argument("--top-k", type=int, default=64)
-    p_compile.add_argument(
-        "--store-dir", metavar="DIR",
-        help="content-addressed persistent kernel store directory",
-    )
     p_compile.set_defaults(func=cmd_compile)
 
     p_network = sub.add_parser(
@@ -1040,10 +1024,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_network.add_argument(
         "--memory-cap", type=int, metavar="ELEMS",
         help="largest intermediate (elements) the path may create",
-    )
-    p_network.add_argument(
-        "--store-dir", metavar="DIR",
-        help="content-addressed persistent kernel store directory",
     )
     p_network.set_defaults(func=cmd_network)
 
@@ -1088,11 +1068,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--shortlist", type=int, default=64,
         help="guided mode: model-ranked candidates considered "
         "(default 64)",
-    )
-    p_tune.add_argument(
-        "--store-dir", metavar="DIR",
-        help="guided mode: persist the fitted calibration here so "
-        "warm runs perform zero refits",
     )
     p_tune.set_defaults(func=cmd_tune)
 

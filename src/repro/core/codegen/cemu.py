@@ -20,7 +20,6 @@ from typing import List, Optional
 
 import numpy as np
 
-from ...deprecation import warn_deprecated
 from ..plan import KernelPlan
 from . import indexing as ix
 from .chost import (
@@ -160,17 +159,6 @@ def _emit_program(plan: KernelPlan, kernel_name: str = "tc_kernel_emu") -> str:
     return "\n".join(lines) + "\n"
 
 
-def generate_c_emulation(
-    plan: KernelPlan, kernel_name: str = "tc_kernel_emu"
-) -> str:
-    """Deprecated alias for the registered ``cemu`` target's emitter."""
-    warn_deprecated(
-        "repro.core.codegen.cemu.generate_c_emulation",
-        'get_target("cemu").emit_kernel or Kernel.source("cemu")',
-    )
-    return _emit_program(plan, kernel_name)
-
-
 def compile_and_run(
     plan: KernelPlan,
     a: np.ndarray,
@@ -209,9 +197,8 @@ class CemuTarget(CodegenTarget):
     def emit_kernel(
         self, plan: KernelPlan, kernel_name: str = "tc_kernel"
     ) -> str:
-        # Historical convention: the emulated symbol is the kernel name
-        # with an ``_emu`` suffix, so emitted text matches the old
-        # ``Kernel.c_emulation_source()`` byte for byte.
+        # The emulated symbol is the kernel name with an ``_emu``
+        # suffix.
         return _emit_program(plan, kernel_name + "_emu")
 
     def _compile_and_run(

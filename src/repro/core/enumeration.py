@@ -28,7 +28,6 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 import numpy as np
 
 from .. import obs
-from ..deprecation import _UNSET, warn_deprecated
 from ..gpu.arch import GpuArch
 from .columnar import DEFAULT_BATCH_SIZE, ColumnarSpace
 from .constraints import ConstraintChecker, ConstraintPolicy, RuleStats
@@ -737,12 +736,10 @@ class Enumerator:
     def search(
         self,
         keep: int = 64,
-        workers=_UNSET,
+        workers: int = 1,
         cost_model: Optional[CostModel] = None,
         *,
-        _workers: Optional[int] = None,
         engine: Optional[str] = None,
-        checker=_UNSET,
     ) -> EnumerationResult:
         """Streaming search: prune + rank, retaining only ``keep`` best.
 
@@ -763,43 +760,19 @@ class Enumerator:
         pool cannot be used (sandboxed environments, unpicklable
         policies, ...).
 
-        .. deprecated::
-            the ``workers`` keyword; set pool width through
-            :class:`repro.api.Options` (``repro.api.compile``/``rank``)
-            instead.  Also the ``checker`` keyword: a custom
-            :class:`ConstraintChecker` forces ``engine="object"`` (the
-            columnar predicates cannot honour arbitrary subclasses);
-            construct the enumerator with ``policy=...`` instead.
-            Behaviour is unchanged when either is passed.
-
         Serial and parallel searches select the identical ranked heads:
         cost ties break on the canonical config key, and shard striping
         partitions exactly the combination stream the serial walk sees.
         (Per-shard *duplicate* counters can differ, since deduplication
         is per worker.)
         """
-        if workers is not _UNSET:
-            warn_deprecated(
-                "Enumerator.search(workers=...)",
-                "repro.api.Options(workers=...) with repro.api.compile",
-            )
-            _workers = workers
-        if checker is not _UNSET:
-            warn_deprecated(
-                "Enumerator.search(checker=...)",
-                "Enumerator(policy=...), or engine='object' with the "
-                "checker attribute",
-            )
-            if checker is not None:
-                self.checker = checker
-            engine = "object"
         engine = self.engine if engine is None else engine
         if engine not in ENGINES:
             raise ValueError(
                 f"unknown search engine {engine!r}; expected one of {ENGINES}"
             )
         start = time.perf_counter()
-        workers = max(1, int(_workers if _workers is not None else 1))
+        workers = max(1, int(workers))
         with obs.span("search"):
             outcomes: List[_ShardOutcome] = []
             used_workers = 1

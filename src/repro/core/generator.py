@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .. import obs
-from ..deprecation import _UNSET, warn_deprecated
 from ..gpu.arch import GpuArch, get_arch
 from ..gpu.simulator import GpuSimulator, ModelParams, SimulationResult
 from .codegen.registry import get_target, list_targets
@@ -125,29 +124,6 @@ class GeneratedKernel:
         name = target or self.target
         return get_target(name).emit_driver(self.plan, self.kernel_name)
 
-    @property
-    def cuda_source(self) -> str:
-        """Deprecated: use :meth:`source` with ``"cuda"``."""
-        warn_deprecated("Kernel.cuda_source", 'Kernel.source("cuda")')
-        return self.source("cuda")
-
-    def cuda_driver_source(self) -> str:
-        """Deprecated: use :meth:`driver_source` with ``"cuda"``."""
-        warn_deprecated(
-            "Kernel.cuda_driver_source()", 'Kernel.driver_source("cuda")'
-        )
-        return self.driver_source("cuda")
-
-    def c_emulation_source(self) -> str:
-        """Deprecated: use :meth:`source` with ``"cemu"``."""
-        warn_deprecated("Kernel.c_emulation_source()", 'Kernel.source("cemu")')
-        return self.source("cemu")
-
-    def opencl_source(self) -> str:
-        """Deprecated: use :meth:`source` with ``"opencl"``."""
-        warn_deprecated("Kernel.opencl_source()", 'Kernel.source("opencl")')
-        return self.source("opencl")
-
     def execute(self, a, b):
         """Run the kernel's schedule numerically on original-shape
         operands, transparently handling merge/split rewrites.
@@ -227,8 +203,6 @@ class Cogent:
         top-k heap.  ``workers=1`` (default) searches serially
         in-process; serial and parallel searches pick the identical best
         configuration (cost ties break on a canonical config key).
-        Passing this keyword is **deprecated**: set pool width through
-        :class:`repro.api.Options` instead (behaviour is unchanged).
     """
 
     def __init__(
@@ -245,19 +219,10 @@ class Cogent:
         split_factors: Sequence[int] = (4, 8, 16),
         allow_merge: bool = False,
         engine: str = "columnar",
-        workers=_UNSET,
+        workers: int = 1,
         strategy: str = "direct",
         target: str = "cuda",
     ) -> None:
-        if workers is not _UNSET:
-            # Old call path, kept behaviourally identical: the blessed
-            # way to set pool width is repro.api.Options(workers=...).
-            warn_deprecated(
-                "Cogent(workers=...)",
-                "repro.api.Options(workers=...) with repro.api.compile",
-            )
-        else:
-            workers = 1
         if engine not in ENGINES:
             raise ValueError(
                 f"unknown search engine {engine!r}; choose from {ENGINES}"
@@ -469,57 +434,25 @@ class Cogent:
         sizes: SizesArg = None,
         kernel_name: str = "tc_kernel",
         workers: Optional[int] = None,
-        cache: Optional["KernelCache"] = None,  # noqa: F821
     ) -> List[GeneratedKernel]:
         """Generate kernels for a whole batch of contractions.
 
         The suite-level companion of :meth:`generate`: contractions are
         distributed across a process pool (``workers``, defaulting to
         this generator's ``workers`` setting), with each worker running
-        a serial search so the two parallelism levels do not nest.  When
-        ``cache`` (a :class:`~repro.core.cache.KernelCache`) is given,
-        cached kernels are reused, contractions sharing a cache key are
-        generated once, and fresh kernels are inserted back — exactly
-        what the TCCG suite paths and the CCSD(T) driver need.
+        a serial search so the two parallelism levels do not nest.
+        Every contraction is searched; :meth:`compile_batch` shares one
+        search per equivalence class instead.
 
         Results come back in input order.  Falls back to a serial loop
         when the pool is unavailable.
         """
-        from .cache import cache_key
-
         workers = self.workers if workers is None else max(1, int(workers))
         items = [
             parse(c, sizes) if isinstance(c, str) else c
             for c in contractions
         ]
-        results: List[Optional[GeneratedKernel]] = [None] * len(items)
-        jobs: List[Tuple[List[int], Contraction]] = []
-        if cache is None:
-            jobs = [([i], c) for i, c in enumerate(items)]
-        else:
-            by_key: Dict[str, List[int]] = {}
-            for i, contraction in enumerate(items):
-                cached = cache.lookup(contraction)
-                if cached is not None:
-                    results[i] = cached
-                    continue
-                key = cache_key(contraction, self.arch, self.dtype_bytes)
-                by_key.setdefault(key, []).append(i)
-            jobs = [
-                (positions, items[positions[0]])
-                for positions in by_key.values()
-            ]
-
-        kernels = self._generate_batch(
-            [c for _, c in jobs], workers, kernel_name
-        )
-        for (positions, contraction), kernel in zip(jobs, kernels):
-            if cache is not None:
-                cache.put(contraction, kernel)
-            for i in positions:
-                results[i] = kernel
-        assert all(k is not None for k in results)
-        return results  # type: ignore[return-value]
+        return self._generate_batch(items, workers, kernel_name)
 
     def _generate_batch(
         self,
@@ -603,7 +536,7 @@ class Cogent:
         return self._enumerator(contraction).search(
             keep=self.top_k,
             cost_model=self.cost_model,
-            _workers=self.workers,
+            workers=self.workers,
         )
 
     def _select(

@@ -16,16 +16,18 @@ The pipeline has two layers:
   architecture/dtype, the generator's search knobs and a code-version
   stamp.  One representative per class is searched; the winning kernel
   is *rebound* to every other member by renaming indices through the
-  canonical form (see :func:`repro.core.cache._rebind_kernel`), which
+  canonical form (see :func:`_rebind_kernel`), which
   is bit-identical to searching the member directly because Algorithm
   2's pruning rules and Algorithm 3's cost model depend only on index
   structure, positions and extents — never on index names.
 * :class:`KernelStore` is a content-addressed persistent store of the
-  per-class winners (one atomic JSON file per class key, like
-  :class:`repro.core.cache.EvalCache`).  Payloads are expressed in
-  canonical index names, so *any* process whose batch contains an
-  isomorphic contraction hits, regardless of how its tensors or
-  indices are spelled.  Warm runs perform **zero** searches.
+  per-class winners (one atomic JSON file per class key).  Payloads are
+  expressed in canonical index names, so *any* process whose batch
+  contains an isomorphic contraction hits, regardless of how its
+  tensors or indices are spelled.  Warm runs perform **zero** searches.
+  The same store also holds calibration fits
+  (:mod:`repro.autotune.calibration`) and framework-evaluation cells
+  (:mod:`repro.evaluation.runner`), each tagged with a ``kind``.
 
 Staleness is handled structurally: every class key folds in
 :func:`code_version_stamp`, a hash of the source of the modules that
@@ -39,7 +41,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import time
+import uuid
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
@@ -49,6 +53,9 @@ from ..gpu.arch import GpuArch
 from .enumeration import EnumerationResult, EnumerationStats
 from .generator import CandidateScore, Cogent, GeneratedKernel
 from .ir import Contraction, TensorRef
+from .library import clamp_config
+from .mapping import rename_config
+from .merging import merge_pair
 from .parser import SizesArg, parse
 from .plan import KernelPlan
 from .serialize import (
@@ -153,10 +160,9 @@ def workload_key(
 ) -> str:
     """The equivalence-class key of one generation request.
 
-    Unlike :func:`repro.core.cache.cache_key`, extents are exact (not
-    bucketed: fan-out must be bit-identical to a fresh search, so no
-    clamping may occur), names are canonicalised away, and the key
-    folds in the generator's search ``signature`` and the
+    Extents are exact (fan-out must be bit-identical to a fresh
+    search, so no clamping may occur), names are canonicalised away,
+    and the key folds in the generator's search ``signature`` and the
     :func:`code_version_stamp`.
     """
     canon, _ = canonical_form(contraction)
@@ -179,18 +185,86 @@ def _invert(rename: Dict[str, str]) -> Dict[str, str]:
     return {v: k for k, v in rename.items()}
 
 
+def _rebind_kernel(
+    kernel: GeneratedKernel,
+    contraction: Contraction,
+    rename: Optional[Dict[str, str]] = None,
+    kernel_name: Optional[str] = None,
+) -> GeneratedKernel:
+    """Rebind a kernel to ``contraction`` (same structure and extents).
+
+    With ``rename`` (a bijection from the kernel's original index names
+    to ``contraction``'s), the kernel is *retargeted* onto an
+    isomorphic contraction: merge/split rewrites are replayed on the
+    target (extending the map with the freshly derived sub-index
+    names), and every configuration is renamed through the completed
+    map.  This is how one class winner fans out to every member of its
+    equivalence class.
+    """
+    mapping = dict(rename) if rename else None
+
+    def name_of(index: str) -> str:
+        return mapping[index] if mapping else index
+
+    current = contraction
+    merge_specs = []
+    for spec in kernel.merge_specs:
+        current, new_spec = merge_pair(
+            current, name_of(spec.low_name), name_of(spec.high_name)
+        )
+        if mapping is not None:
+            mapping[spec.merged_name] = new_spec.merged_name
+        merge_specs.append(new_spec)
+    merged = current
+    split_specs = []
+    for spec in kernel.split_specs:
+        current, new_spec = split_index(
+            current, name_of(spec.index), spec.factor
+        )
+        if mapping is not None:
+            mapping[spec.low_name] = new_spec.low_name
+            mapping[spec.high_name] = new_spec.high_name
+        split_specs.append(new_spec)
+    config = kernel.config
+    candidates = kernel.candidates
+    if mapping is not None:
+        config = rename_config(config, mapping)
+        candidates = [
+            CandidateScore(
+                rename_config(c.config, mapping), c.cost, c.simulated
+            )
+            for c in kernel.candidates
+        ]
+    config = clamp_config(config, current)
+    plan = KernelPlan(current, config, kernel.plan.dtype_bytes)
+    return replace(
+        kernel,
+        contraction=current,
+        plan=plan,
+        candidates=candidates,
+        original_contraction=contraction,
+        merged_contraction=merged,
+        split_specs=tuple(split_specs),
+        merge_specs=tuple(merge_specs),
+        kernel_name=kernel_name or kernel.kernel_name,
+        _sources={},
+    )
+
+
 # -- the persistent kernel store --------------------------------------------
 
 
 class KernelStore:
     """Content-addressed persistent store of per-class winning kernels.
 
-    One JSON file per class key under ``directory``; writes are atomic
-    (temp file + rename) so concurrent sessions sharing a store never
-    observe torn entries.  Payloads are canonical-name descriptions of
-    the winner (contraction, config, split/merge specs, cost), enough
-    to rebuild the kernel for any isomorphic contraction without a
-    search.
+    One JSON file per key under ``directory``.  Each write goes to its
+    own temp file in the same directory and is renamed into place, so
+    concurrent writers of one key never collide and readers never see a
+    torn entry.  Kernel payloads are canonical-name descriptions of the
+    winner (contraction, config, split/merge specs, cost), enough to
+    rebuild the kernel for any isomorphic contraction without a search.
+    Every payload carries ``store_version``; entries from another
+    layout, or unreadable ones, are misses.
     """
 
     def __init__(self, directory: Union[str, Path]) -> None:
@@ -210,7 +284,10 @@ class KernelStore:
             self.misses += 1
             obs.inc("store.misses")
             return None
-        if payload.get("store_version") != STORE_VERSION:
+        if (
+            not isinstance(payload, dict)
+            or payload.get("store_version") != STORE_VERSION
+        ):
             self.misses += 1
             obs.inc("store.misses")
             return None
@@ -221,12 +298,26 @@ class KernelStore:
     def put(self, key: str, payload: Dict) -> None:
         """Persist ``payload`` (JSON-serialisable) under ``key``."""
         target = self._path(key)
-        tmp = target.with_suffix(".json.tmp")
-        tmp.write_text(json.dumps(payload, indent=2, sort_keys=True))
-        tmp.replace(target)
+        tmp = target.with_name(f".{key}.{uuid.uuid4().hex}.tmp")
+        try:
+            tmp.write_text(json.dumps(payload, indent=2, sort_keys=True))
+            os.replace(tmp, target)
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
 
     def __len__(self) -> int:
         return sum(1 for _ in self.directory.glob("*.json"))
+
+
+def open_store(
+    store: Optional[Union[str, Path, KernelStore]],
+) -> Optional[KernelStore]:
+    """``store`` as a :class:`KernelStore`: a path opens one, a store or
+    ``None`` passes through."""
+    if store is None or isinstance(store, KernelStore):
+        return store
+    return KernelStore(store)
 
 
 def _split_to_dict(spec: SplitSpec) -> Dict:
@@ -248,8 +339,6 @@ def kernel_to_store_payload(
     ``(index, factor)`` is stored), the winning configuration in
     canonical post-split names, and the model cost.
     """
-    from .cache import _rebind_kernel
-
     original = kernel.original_contraction or kernel.contraction
     if kernel.merge_specs:
         raise ValueError(
@@ -423,9 +512,7 @@ class CompilationSession:
         store: Optional[Union[str, Path, KernelStore]] = None,
     ) -> None:
         self.generator = generator or Cogent()
-        if store is not None and not isinstance(store, KernelStore):
-            store = KernelStore(store)
-        self.store: Optional[KernelStore] = store
+        self.store = open_store(store)
         #: Session-memoised canonical kernels by class key.
         self._memory: Dict[str, GeneratedKernel] = {}
 
@@ -456,8 +543,6 @@ class CompilationSession:
         ``workers`` parallelises the representative searches across
         processes exactly like :meth:`Cogent.generate_many`.
         """
-        from .cache import _rebind_kernel
-
         start = time.perf_counter()
         with obs.span("program"):
             items = [
@@ -634,8 +719,6 @@ class CompilationSession:
         rename: Optional[Dict[str, str]],
     ) -> GeneratedKernel:
         """Rebind a class winner to one member contraction."""
-        from .cache import _rebind_kernel
-
         if rename is not None and all(
             src == dst for src, dst in rename.items()
         ):

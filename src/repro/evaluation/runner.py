@@ -10,28 +10,29 @@ the contraction on the target (simulated) GPU.
 out over a :class:`concurrent.futures.ProcessPoolExecutor` (the same
 worker pattern as :meth:`repro.core.enumeration.Enumerator.search`)
 with a deterministic ordered merge, so parallel results are identical
-to serial.  With ``cache_dir`` set, finished cells persist in an
-:class:`repro.core.cache.EvalCache`; re-running the same suite replays
-them from disk without re-evaluating any framework.
+to serial.  With ``store_dir`` set, finished cells persist in the
+:class:`repro.core.program.KernelStore` as ``kind: "eval"`` payloads;
+re-running the same suite replays them from disk without re-evaluating
+any framework.
 """
 
 from __future__ import annotations
 
+import hashlib
 import math
 import time
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import (
-    Dict, Iterable, List, Optional, Sequence, Tuple, Union,
+    Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union,
 )
 
 from .. import obs
 from ..baselines.nwchem import NwchemGenerator
 from ..baselines.tc import TcAutotuner
-from ..core.cache import EvalCache, eval_cache_key
 from ..core.generator import Cogent
 from ..core.ir import Contraction
-from ..deprecation import _UNSET, warn_deprecated
+from ..core.program import STORE_VERSION, KernelStore, open_store
 from ..gpu.arch import GpuArch, get_arch
 from ..gpu.simulator import GpuSimulator
 from ..tccg.suite import Benchmark
@@ -40,6 +41,38 @@ from ..ttgt.pipeline import TtgtPipeline
 FRAMEWORKS = (
     "cogent", "cogent_strategy", "nwchem", "talsh", "tc", "tc_untuned",
 )
+
+#: Bump when the meaning of stored evaluation payloads changes; stale
+#: entries from older layouts then miss instead of being misread.
+EVAL_CACHE_VERSION = 1
+
+
+def eval_cache_key(
+    expr: str,
+    sizes: Mapping[str, int],
+    arch_name: str,
+    dtype_bytes: int,
+    framework: str,
+    params: Optional[Mapping[str, object]] = None,
+) -> str:
+    """A stable store key for one (contraction, framework) evaluation.
+
+    Extents are exact: framework results are measurements of one
+    problem instance.  The key also folds in the package version and
+    :data:`EVAL_CACHE_VERSION`, so stored cells self-invalidate across
+    code changes that could alter the modelled numbers.
+    """
+    from .. import __version__
+
+    sizes_part = ",".join(f"{k}={v}" for k, v in sorted(sizes.items()))
+    params_part = ",".join(
+        f"{k}={v}" for k, v in sorted((params or {}).items())
+    )
+    raw = (
+        f"eval{EVAL_CACHE_VERSION};{__version__};{expr};{sizes_part};"
+        f"{arch_name};{dtype_bytes};{framework};{params_part}"
+    )
+    return hashlib.sha256(raw.encode()).hexdigest()[:16]
 
 
 @dataclass
@@ -50,7 +83,7 @@ class FrameworkResult:
     ``setup_time_s`` covers planning/code generation, ``search_time_s``
     configuration search or autotuning, and ``simulate_time_s`` the
     performance-model evaluation.  ``cached`` marks results replayed
-    from an :class:`repro.core.cache.EvalCache` rather than computed.
+    from the store rather than computed.
     """
 
     framework: str
@@ -143,16 +176,8 @@ class SuiteRunner:
         tc_population: int = 20,
         tc_generations: int = 5,
         tc_seed: int = 0,
-        cache_dir=_UNSET,
-        *,
-        _cache_dir: Optional[Union[str, Path]] = None,
+        store_dir: Optional[Union[str, Path, KernelStore]] = None,
     ) -> None:
-        if cache_dir is not _UNSET:
-            warn_deprecated(
-                "SuiteRunner(cache_dir=...)",
-                "repro.api.Options(cache_dir=...) with repro.api.evaluate",
-            )
-            _cache_dir = cache_dir
         self.arch = get_arch(arch) if isinstance(arch, str) else arch
         self.dtype_bytes = dtype_bytes
         self.cogent = Cogent(arch=self.arch, dtype_bytes=dtype_bytes)
@@ -166,7 +191,7 @@ class SuiteRunner:
             generations=tc_generations,
             seed=tc_seed,
         )
-        self.cache = EvalCache(_cache_dir) if _cache_dir else None
+        self.store = open_store(store_dir)
         # Execution-strategy selector, built lazily: only the
         # strategy-aware COGENT row pays for it.
         self._selector = None
@@ -353,7 +378,7 @@ class SuiteRunner:
     # -- suite-level comparison -----------------------------------------------
 
     def _cell_key(self, bench: Benchmark, framework: str) -> str:
-        """Evaluation-cache key for one (benchmark, framework) cell."""
+        """Store key for one (benchmark, framework) cell."""
         return eval_cache_key(
             bench.expr, bench.sizes, self.arch.name, self.dtype_bytes,
             framework,
@@ -368,29 +393,17 @@ class SuiteRunner:
         self,
         benchmarks: Sequence[Benchmark],
         frameworks: Sequence[str] = ("cogent", "nwchem", "talsh"),
-        workers=_UNSET,
-        *,
-        _workers: int = 1,
+        workers: int = 1,
     ) -> List[ComparisonRow]:
         """Evaluate every (benchmark, framework) cell.
 
-        With ``workers > 1`` the cells not satisfied by the evaluation
-        cache fan out over a process pool; results are merged back in
-        grid order, so the returned rows are identical to a serial run.
-        Counters and stage timings land in :attr:`last_stats`.
-
-        .. deprecated::
-            Passing ``workers`` here is deprecated; use
-            ``repro.api.Options(workers=...)`` with ``repro.api.evaluate``.
+        With ``workers > 1`` the cells not found in the store fan out
+        over a process pool; results are merged back in grid order, so
+        the returned rows are identical to a serial run.  Counters and
+        stage timings land in :attr:`last_stats`.
         """
-        if workers is not _UNSET:
-            warn_deprecated(
-                "SuiteRunner.compare(workers=...)",
-                "repro.api.Options(workers=...) with repro.api.evaluate",
-            )
-            _workers = workers
         with obs.span("compare"):
-            return self._compare(benchmarks, frameworks, _workers)
+            return self._compare(benchmarks, frameworks, workers)
 
     def _compare(
         self,
@@ -407,21 +420,22 @@ class SuiteRunner:
         stats = CompareStats(
             cells=len(cells),
             workers=max(1, workers),
-            cache_enabled=self.cache is not None,
+            cache_enabled=self.store is not None,
         )
 
         results: Dict[int, FrameworkResult] = {}
         pending: List[int] = []
         for i, (bench, framework) in enumerate(cells):
-            if self.cache is not None:
-                payload = self.cache.lookup(self._cell_key(bench, framework))
-                if payload is not None:
+            if self.store is not None:
+                payload = self.store.lookup(self._cell_key(bench, framework))
+                if payload is not None and payload.get("kind") == "eval":
                     results[i] = replace(
-                        FrameworkResult.from_dict(payload), cached=True
+                        FrameworkResult.from_dict(payload["result"]),
+                        cached=True,
                     )
                     continue
             pending.append(i)
-        if self.cache is not None:
+        if self.store is not None:
             stats.cache_hits = len(cells) - len(pending)
             stats.cache_misses = len(pending)
 
@@ -440,10 +454,15 @@ class SuiteRunner:
 
         for i, result in fresh.items():
             results[i] = result
-            if self.cache is not None:
+            if self.store is not None:
                 bench, framework = cells[i]
-                self.cache.put(
-                    self._cell_key(bench, framework), result.as_dict()
+                self.store.put(
+                    self._cell_key(bench, framework),
+                    {
+                        "store_version": STORE_VERSION,
+                        "kind": "eval",
+                        "result": result.as_dict(),
+                    },
                 )
 
         rows: List[ComparisonRow] = []

@@ -3,14 +3,15 @@
 One :class:`MetricsRegistry` per observability session unifies every
 counter the pipeline previously kept in ad-hoc stat objects —
 ``SearchStats`` (enumeration), ``RuleStats`` (constraint pruning),
-cost-model memo hits/misses, ``KernelCache``/``EvalCache`` hits/misses,
+cost-model memo hits/misses, kernel-store hits/misses,
 ``CompareStats`` and ``FrameworkResult`` stage timings (evaluation) —
 under one dotted naming scheme:
 
 * ``search.*``      — configuration search (Algorithm 2 + 3 streaming)
 * ``constraints.*`` — per-rule pruning behaviour
 * ``costmodel.*``   — DRAM-transaction model memoisation
-* ``cache.kernel.*`` / ``cache.eval.*`` — kernel and evaluation caches
+* ``store.*``       — persistent kernel-store lookups
+* ``cache.eval.*``  — evaluation cells replayed from the store
 * ``compare.*``     — framework comparison grid
 * ``replay.*``      — address-trace transaction replay
 * ``tune.*``        — TC-style autotuning
@@ -164,16 +165,6 @@ class MetricsRegistry:
         self.observe(f"{prefix}.setup_s", result.setup_time_s)
         self.observe(f"{prefix}.search_s", result.search_time_s)
         self.observe(f"{prefix}.simulate_s", result.simulate_time_s)
-
-    def absorb_kernel_cache(self, cache) -> None:
-        """Fold a ``KernelCache``'s hit/miss counters in."""
-        self.inc("cache.kernel.hits", cache.hits)
-        self.inc("cache.kernel.misses", cache.misses)
-
-    def absorb_eval_cache(self, cache) -> None:
-        """Fold an ``EvalCache``'s hit/miss counters in."""
-        self.inc("cache.eval.hits", cache.hits)
-        self.inc("cache.eval.misses", cache.misses)
 
     # -- serialisation ---------------------------------------------------
 

@@ -21,7 +21,7 @@ class TestOptions:
         opts = api.Options()
         assert opts.workers == 1
         assert opts.top_k == 64
-        assert opts.cache_dir is None
+        assert opts.store_dir is None
         assert opts.arch == "V100"
         assert opts.dtype == "double"
         assert opts.trace is False
@@ -32,7 +32,7 @@ class TestOptions:
             opts.workers = 4
 
     def test_round_trip(self):
-        opts = api.Options(workers=4, top_k=8, cache_dir="/tmp/c",
+        opts = api.Options(workers=4, top_k=8, store_dir="/tmp/c",
                            arch="P100", dtype="single", trace=True)
         clone = api.Options(**dataclasses.asdict(opts))
         assert clone == opts
@@ -60,44 +60,31 @@ class TestOptions:
 
 
 class TestDeprecationShims:
-    def test_cogent_workers_warns(self):
-        with pytest.warns(DeprecationWarning, match="Cogent"):
-            Cogent(workers=2)
+    """No shims are left: the plain keywords never warn."""
 
     def test_cogent_default_does_not_warn(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
             Cogent()
-
-    def test_enumerator_search_workers_warns(self):
-        contraction = get("ttm_mode1").contraction()
-        enumerator = Enumerator(contraction, VOLTA_V100)
-        with pytest.warns(DeprecationWarning, match="search"):
-            enumerator.search(keep=4, workers=1)
-
-    def test_suite_runner_cache_dir_warns(self, tmp_path):
-        with pytest.warns(DeprecationWarning, match="cache_dir"):
-            SuiteRunner(cache_dir=tmp_path / "eval")
-
-    def test_suite_runner_compare_workers_warns(self):
-        runner = SuiteRunner()
-        with pytest.warns(DeprecationWarning, match="compare"):
-            runner.compare([get("ttm_mode1")], ("talsh",), workers=1)
+            Cogent(workers=2)
 
     def test_internal_paths_do_not_warn(self, tmp_path):
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
-            runner = SuiteRunner(_cache_dir=tmp_path / "eval")
-            runner.compare([get("ttm_mode1")], ("talsh",), _workers=1)
+            runner = SuiteRunner(store_dir=tmp_path / "eval")
+            runner.compare([get("ttm_mode1")], ("talsh",), workers=1)
+            enumerator = Enumerator(
+                get("ttm_mode1").contraction(), VOLTA_V100
+            )
+            enumerator.search(keep=4, workers=1)
             api.compile("ab-ak-kb", 16, options=api.Options(top_k=2))
 
     def test_old_api_identical_to_new(self):
-        """The shims change nothing but the spelling (3 TCCG entries)."""
+        """Direct generation and ``api.compile`` agree (3 TCCG entries)."""
         opts = api.Options(workers=2, top_k=4)
         for name in TCCG_NAMES:
             contraction = get(name).contraction()
-            with pytest.warns(DeprecationWarning):
-                old = Cogent(top_k=4, workers=2).generate(contraction)
+            old = Cogent(top_k=4, workers=2).generate(contraction)
             new = api.compile(contraction, options=opts)
             assert old.config.describe() == new.config.describe()
             assert old.candidates[0].simulated.gflops == pytest.approx(
@@ -113,9 +100,47 @@ class TestFacade:
         assert "__global__" in kernel.source("cuda")
 
     def test_compile_cache_dir_persists(self, tmp_path):
-        opts = api.Options(top_k=2, cache_dir=tmp_path / "kernels")
+        """``store_dir`` (which absorbed ``cache_dir``) is written."""
+        opts = api.Options(top_k=2, store_dir=tmp_path / "kernels")
         api.compile("ab-ak-kb", 32, options=opts)
-        assert any((tmp_path / "kernels").iterdir())
+        assert any((tmp_path / "kernels").glob("*.json"))
+
+    def test_compile_store_persists_across_processes(self, tmp_path):
+        """A fresh interpreter rebuilds the kernel from the store."""
+        import json
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        script = (
+            "import json, sys\n"
+            "from repro import api\n"
+            "opts = api.Options(top_k=2, trace=True, store_dir=sys.argv[1])\n"
+            "kernel = api.compile('abc-akc-kb', 24, options=opts)\n"
+            "counters = api.last_trace()['metrics']['counters']\n"
+            "print(json.dumps({'config': kernel.config.describe(),\n"
+            "                  'counters': counters}))\n"
+        )
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(src)] + [p for p in [env.get("PYTHONPATH")] if p]
+        )
+
+        def run():
+            out = subprocess.run(
+                [sys.executable, "-c", script, str(tmp_path / "store")],
+                check=True, capture_output=True, text=True, env=env,
+            ).stdout
+            return json.loads(out.strip().splitlines()[-1])
+
+        cold, warm = run(), run()
+        assert cold["counters"].get("program.searches", 0) == 1
+        assert warm["counters"].get("store.hits", 0) >= 1
+        assert warm["counters"].get("program.searches", 0) == 0
+        assert warm["counters"].get("search.searches", 0) == 0
+        assert warm["config"] == cold["config"]
 
     def test_rank(self):
         ranked = api.rank("ab-ak-kb", 64)
@@ -127,14 +152,14 @@ class TestFacade:
     def test_evaluate(self, tmp_path):
         rows = api.evaluate(
             [get("ttm_mode1")], ("talsh", "tc_untuned"),
-            options=api.Options(cache_dir=tmp_path / "eval"),
+            options=api.Options(store_dir=tmp_path / "eval"),
         )
         assert len(rows) == 1
         assert rows[0].gflops("talsh") > 0
         # Second run replays from the cache.
         rows2 = api.evaluate(
             [get("ttm_mode1")], ("talsh", "tc_untuned"),
-            options=api.Options(cache_dir=tmp_path / "eval"),
+            options=api.Options(store_dir=tmp_path / "eval"),
         )
         assert rows2[0].results["talsh"].cached
         assert rows2[0].gflops("talsh") == rows[0].gflops("talsh")
@@ -162,3 +187,4 @@ class TestFacade:
         assert repro.evaluate is api.evaluate
         assert repro.tune is api.tune
         assert repro.Options is api.Options
+        assert repro.contract is api.contract

@@ -55,13 +55,17 @@ class TestSolve:
         )
         assert via_kernels.iterations == via_einsum.iterations
 
-    def test_cache_reuse_across_sweeps(self, driver):
-        driver.cache.hits = driver.cache.misses = 0
+    def test_cache_reuse_across_sweeps(self, driver, monkeypatch):
+        driver.compiled()
+
+        def no_generation(*args, **kwargs):
+            raise AssertionError("sweeps must reuse the compiled kernels")
+
+        # 3 kernels compiled once; every sweep reuses them.
+        monkeypatch.setattr(driver.generator, "generate", no_generation)
         result = driver.solve()
-        # 3 kernels, one miss each on first sweep (if not already
-        # cached), then pure hits.
-        assert len(driver.cache) == 3
-        assert driver.cache.hits >= 3 * (result.iterations - 1)
+        assert result.iterations > 1
+        assert sorted(driver.kernels) == sorted(n for n, _ in DIAGRAMS)
 
     def test_deterministic(self):
         gen = Cogent(arch="V100", top_k=1)
@@ -83,4 +87,4 @@ class TestSolve:
     def test_report(self, driver):
         text = driver.report()
         assert "converged" in text
-        assert "cache hits" in text
+        assert "compiled once" in text

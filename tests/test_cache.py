@@ -1,82 +1,77 @@
-"""Tests for kernel caching and the contract() API (repro.core.cache)."""
+"""Tests for kernel reuse: store keys, the kernel store, evaluation
+cells, and the contract() API (repro.api.contract)."""
 
 import numpy as np
 import pytest
 
-from repro import Cogent, parse
-from repro.core.cache import (
-    KernelCache,
-    cache_key,
-    contract,
-    size_bucket,
+from repro import Cogent, obs, parse
+from repro.api import Options, contract
+from repro.core.program import (
+    STORE_VERSION,
+    CompilationSession,
+    KernelStore,
+    kernel_to_store_payload,
+    workload_key,
 )
+from repro.evaluation.runner import eval_cache_key
 
 
 @pytest.fixture
-def cache():
-    return KernelCache(Cogent(arch="V100", top_k=4))
+def session():
+    return CompilationSession(Cogent(arch="V100", top_k=4))
 
 
-class TestSizeBucket:
-    def test_powers_of_two_fixed(self):
-        for n in (1, 2, 4, 8, 16, 64, 256):
-            assert size_bucket(n) == n
-
-    def test_rounds_to_nearest(self):
-        assert size_bucket(24) == 32  # log2(24) = 4.58 rounds up
-        assert size_bucket(20) == 16
-        assert size_bucket(48) == 64
-        assert size_bucket(3) == 4
-
-    def test_minimum_is_one(self):
-        assert size_bucket(0) == 1
-        assert size_bucket(1) == 1
+def _eval_payload(result):
+    return {"store_version": STORE_VERSION, "kind": "eval", "result": result}
 
 
 class TestCacheKey:
+    """The kernel-store key (:func:`workload_key`)."""
+
     def test_same_problem_same_key(self, v100):
         c1 = parse("ab-ak-kb", 64)
         c2 = parse("ab-ak-kb", 64)
-        assert cache_key(c1, v100, 8) == cache_key(c2, v100, 8)
-
-    def test_nearby_sizes_share_key(self, v100):
-        c1 = parse("ab-ak-kb", 60)
-        c2 = parse("ab-ak-kb", 70)
-        assert cache_key(c1, v100, 8) == cache_key(c2, v100, 8)
+        assert workload_key(c1, v100, 8) == workload_key(c2, v100, 8)
 
     def test_different_structure_differs(self, v100):
         c1 = parse("ab-ak-kb", 64)
         c2 = parse("ab-ka-kb", 64)
-        assert cache_key(c1, v100, 8) != cache_key(c2, v100, 8)
+        assert workload_key(c1, v100, 8) != workload_key(c2, v100, 8)
 
     def test_arch_and_dtype_in_key(self, v100, p100):
         c = parse("ab-ak-kb", 64)
-        assert cache_key(c, v100, 8) != cache_key(c, p100, 8)
-        assert cache_key(c, v100, 8) != cache_key(c, v100, 4)
+        assert workload_key(c, v100, 8) != workload_key(c, p100, 8)
+        assert workload_key(c, v100, 8) != workload_key(c, v100, 4)
 
 
 class TestKernelCache:
-    def test_miss_then_hit(self, cache):
-        c = parse("ab-ak-kb", 64)
-        k1 = cache.get(c)
-        k2 = cache.get(c)
-        assert k1 is k2
-        assert cache.hits == 1 and cache.misses == 1
+    """Kernel reuse through :class:`CompilationSession` and its store."""
 
-    def test_len(self, cache):
-        cache.get(parse("ab-ak-kb", 64))
-        cache.get(parse("ab-ak-kb", 256))
-        assert len(cache) == 2
+    def test_miss_then_hit(self, session):
+        c = parse("ab-ak-kb", 64)
+        first = session.compile([c])
+        again = session.compile([c])
+        assert first.stats.searches == 1
+        assert again.stats.searches == 0
+        assert again.classes[0].source == "memory"
+        assert again.kernels[0].config == first.kernels[0].config
+
+    def test_len(self, tmp_path):
+        store = KernelStore(tmp_path)
+        CompilationSession(Cogent(arch="V100", top_k=4), store).compile(
+            [parse("ab-ak-kb", 64), parse("ab-ak-kb", 256)]
+        )
+        assert len(store) == 2
 
     def test_disk_persistence(self, tmp_path):
-        cache = KernelCache(
-            Cogent(arch="V100", top_k=1), directory=tmp_path
+        CompilationSession(Cogent(arch="V100", top_k=1), tmp_path).compile(
+            [parse("ab-ak-kb", 64)]
         )
-        cache.get(parse("ab-ak-kb", 64))
-        saved = list(tmp_path.iterdir())
+        saved = list(tmp_path.glob("*.json"))
         assert len(saved) == 1
-        assert (saved[0] / "kernel.cu").exists()
-        assert (saved[0] / "meta.json").exists()
+        payload = KernelStore(tmp_path).lookup(saved[0].stem)
+        assert payload["store_version"] == STORE_VERSION
+        assert payload["canonical"]["c"]["name"] == "C"
 
 
 class TestContract:
@@ -92,26 +87,41 @@ class TestContract:
         got = contract("adc,db->abc", a, b)
         assert np.allclose(got, np.einsum("adc,db->abc", a, b))
 
-    def test_eq1(self, cache):
+    def test_eq1(self):
         rng = np.random.default_rng(3)
         a = rng.random((6, 3, 5, 4))
         b = rng.random((7, 4, 6, 3))
-        got = contract("abcd-aebf-dfce", a, b, cache=cache)
+        got = contract("abcd-aebf-dfce", a, b, options=Options(top_k=4))
         want = np.einsum("aebf,dfce->abcd", a, b)
         assert np.allclose(got, want)
 
-    def test_bucket_reuse_still_correct(self, cache):
+    def test_bucket_reuse_still_correct(self):
+        """Nearby sizes each compile their own exact-extent kernel."""
         rng = np.random.default_rng(4)
-        for m, n, k in ((17, 15, 6), (15, 18, 7), (14, 16, 7)):
-            a = rng.random((m, k))
-            b = rng.random((k, n))
-            assert np.allclose(
-                contract("ab-ak-kb", a, b, cache=cache), a @ b
-            )
-        assert cache.misses == 1
-        assert cache.hits == 2
+        options = Options(top_k=5)
+        with obs.tracing() as session:
+            for m, n, k in ((17, 15, 6), (15, 18, 7), (14, 16, 7)):
+                a = rng.random((m, k))
+                b = rng.random((k, n))
+                assert np.allclose(
+                    contract("ab-ak-kb", a, b, options=options), a @ b
+                )
+        assert session.metrics.counter("program.searches") == 3
 
-    def test_single_precision(self, cache):
+    def test_renamed_isomorphic_contraction_reuses_class(self):
+        rng = np.random.default_rng(6)
+        options = Options(top_k=3)
+        a = rng.random((11, 5))
+        b = rng.random((5, 13))
+        assert np.allclose(contract("ab-ak-kb", a, b, options=options),
+                           a @ b)
+        with obs.tracing() as session:
+            got = contract("xy-xz-zy", a, b, options=options)
+        assert np.allclose(got, a @ b)
+        assert session.metrics.counter("program.searches") == 0
+        assert session.metrics.counter("search.searches") == 0
+
+    def test_single_precision(self):
         rng = np.random.default_rng(5)
         a = rng.random((10, 6), dtype=np.float32)
         b = rng.random((6, 8), dtype=np.float32)
@@ -128,67 +138,68 @@ class TestContract:
 
 
 class TestBatchCacheApi:
-    def test_lookup_does_not_generate(self, cache):
-        c = parse("ab-ak-kb", 64)
-        assert cache.lookup(c) is None
-        assert cache.misses == 1
-        assert len(cache) == 0
+    def test_lookup_does_not_generate(self, tmp_path):
+        store = KernelStore(tmp_path)
+        key = workload_key(parse("ab-ak-kb", 64), Cogent().arch, 8)
+        assert store.lookup(key) is None
+        assert store.misses == 1
+        assert len(store) == 0
 
-    def test_put_then_lookup(self, cache):
+    def test_put_then_lookup(self, session, tmp_path):
+        store = KernelStore(tmp_path)
         c = parse("ab-ak-kb", 64)
-        kernel = cache.generator.generate(c)
-        cache.put(c, kernel)
-        assert cache.lookup(c) is kernel
-        assert cache.hits == 1
+        kernel = session.generator.generate(c)
+        payload = kernel_to_store_payload(kernel)
+        store.put(session.class_key(c), payload)
+        assert store.lookup(session.class_key(c)) == payload
+        assert store.hits == 1
 
-    def test_get_many_populates_and_reuses(self, cache):
+    def test_get_many_populates_and_reuses(self, session):
         items = [parse("ab-ak-kb", 64), parse("abc-ak-kbc", 32)]
-        kernels = cache.get_many(items)
-        assert len(kernels) == 2
-        assert len(cache) == 2
-        again = cache.get_many(items)
-        assert again[0] is kernels[0] and again[1] is kernels[1]
+        first = session.compile(items)
+        assert first.stats.searches == 2
+        again = session.compile(items)
+        assert again.stats.searches == 0
+        for old, new in zip(first.kernels, again.kernels):
+            assert old.config == new.config
 
 
 class TestEvalCache:
-    def test_put_then_lookup_roundtrip(self, tmp_path):
-        from repro.core.cache import EvalCache
+    """Evaluation cells stored as ``kind: "eval"`` store payloads."""
 
-        cache = EvalCache(tmp_path / "eval")
-        payload = {"gflops": 123.4, "framework": "cogent"}
-        cache.put("abc123", payload)
-        assert cache.lookup("abc123") == payload
-        assert cache.hits == 1 and cache.misses == 0
-        assert len(cache) == 1
+    def test_put_then_lookup_roundtrip(self, tmp_path):
+        store = KernelStore(tmp_path / "eval")
+        payload = _eval_payload({"gflops": 123.4, "framework": "cogent"})
+        store.put("abc123", payload)
+        assert store.lookup("abc123") == payload
+        assert store.hits == 1 and store.misses == 0
+        assert len(store) == 1
 
     def test_missing_key_misses(self, tmp_path):
-        from repro.core.cache import EvalCache
-
-        cache = EvalCache(tmp_path / "eval")
-        assert cache.lookup("nothere") is None
-        assert cache.misses == 1
+        store = KernelStore(tmp_path / "eval")
+        assert store.lookup("nothere") is None
+        assert store.misses == 1
 
     def test_corrupt_entry_is_a_miss(self, tmp_path):
-        from repro.core.cache import EvalCache
-
-        cache = EvalCache(tmp_path / "eval")
-        (cache.directory / "bad0.json").write_text("{not json")
-        assert cache.lookup("bad0") is None
-        assert cache.misses == 1
+        store = KernelStore(tmp_path / "eval")
+        (store.directory / "bad0.json").write_text("{not json")
+        (store.directory / "bad1.json").write_text("[1, 2]")
+        (store.directory / "old0.json").write_text('{"v": 1}')
+        assert store.lookup("bad0") is None
+        assert store.lookup("bad1") is None
+        assert store.lookup("old0") is None
+        assert store.misses == 3
 
     def test_persists_across_instances(self, tmp_path):
-        from repro.core.cache import EvalCache
-
-        EvalCache(tmp_path / "eval").put("k", {"v": 1})
-        assert EvalCache(tmp_path / "eval").lookup("k") == {"v": 1}
+        KernelStore(tmp_path / "eval").put("k", _eval_payload({"v": 1}))
+        payload = KernelStore(tmp_path / "eval").lookup("k")
+        assert payload["result"] == {"v": 1}
 
 
 class TestEvalCacheKey:
     SIZES = {"a": 32, "b": 32, "k": 64}
 
     def _key(self, **overrides):
-        from repro.core.cache import eval_cache_key
-
         base = dict(
             expr="ab-ak-kb", sizes=self.SIZES, arch_name="V100",
             dtype_bytes=8, framework="cogent",
@@ -210,6 +221,6 @@ class TestEvalCacheKey:
         assert self._key(params={"tc_seed": 1}) != base
 
     def test_extents_not_bucketed(self):
-        # Unlike cache_key, nearby sizes must NOT share evaluations.
+        # Nearby sizes must NOT share evaluations.
         assert self._key(sizes={"a": 32, "b": 32, "k": 63}) != \
             self._key(sizes={"a": 32, "b": 32, "k": 64})

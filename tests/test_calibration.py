@@ -106,6 +106,26 @@ def test_fit_is_sample_order_independent(data, batch):
     )
 
 
+def test_fit_ignores_order_of_samples_tied_on_features():
+    """Twins sharing (benchmark, regime, features) but not residuals fit
+    identically in either order."""
+    rng = np.random.default_rng(0)
+    batch = []
+    for _ in range(len(FEATURE_NAMES)):
+        features = (1.0,) + tuple(
+            float(x) for x in rng.uniform(-2, 2, len(FEATURE_NAMES) - 1)
+        )
+        for _twin in range(2):
+            residuals = (float(x) for x in rng.uniform(-3, 3, 4))
+            batch.append(
+                CalibrationSample("bm", REGIMES[0], features, *residuals)
+            )
+    assert (
+        fit_calibration(batch, stamp="x" * 16).coefficients
+        == fit_calibration(batch[::-1], stamp="x" * 16).coefficients
+    )
+
+
 @settings(max_examples=40, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(batch=synthetic_samples())

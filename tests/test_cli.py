@@ -96,7 +96,7 @@ class TestBenchCommand:
         json_path = tmp_path / "bench.json"
         argv = ["bench", "--group", "mo", "--limit", "2",
                 "--frameworks", "cogent,talsh", "--workers", "2",
-                "--cache-dir", str(tmp_path / "eval"),
+                "--store-dir", str(tmp_path / "eval"),
                 "--json", str(json_path)]
         assert main(argv) == 0
         cold = json.loads(json_path.read_text())

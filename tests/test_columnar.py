@@ -11,8 +11,8 @@ pin the columnar engine to it:
   with the corresponding ``_rule_*`` method and the closed-form
   Algorithm-3 cost equals ``CostModel.cost`` exactly, per product
   position, on random contractions;
-* the ``checker=`` deprecation shim and the zero-call ``RuleStats``
-  regression.
+* the zero-call ``RuleStats`` regression, and a plain search emitting
+  no deprecation warnings.
 """
 
 import warnings
@@ -26,7 +26,6 @@ from repro import api, parse
 from repro.core.constraints import (
     HARDWARE_RULES,
     PERFORMANCE_RULES,
-    ConstraintChecker,
     RuleStats,
 )
 from repro.core.costmodel import CostModel, row_transaction_columns
@@ -115,7 +114,7 @@ def test_sharded_columnar_matches_serial():
     contraction = parse("abcd-aebf-dfce", 24)
     serial = _search(contraction, "columnar")
     sharded = Enumerator(contraction, VOLTA_V100, engine="columnar").search(
-        keep=16, _workers=4
+        keep=16, workers=4
     )
     assert _ranked(sharded) == _ranked(serial)
     assert sharded.stats == serial.stats
@@ -204,20 +203,7 @@ def test_rule_stats_zero_calls_do_not_raise():
     assert stats.cost_s == 0.0
 
 
-# -- deprecation shim -------------------------------------------------------
-
-
-def test_search_checker_kwarg_deprecated_but_working():
-    contraction = parse("ab-ak-kb", {"a": 24, "b": 16, "k": 12})
-    baseline = _search(contraction, "columnar")
-    enumerator = Enumerator(contraction, VOLTA_V100)
-    with pytest.warns(DeprecationWarning, match="checker"):
-        shimmed = enumerator.search(
-            keep=16, checker=ConstraintChecker(VOLTA_V100)
-        )
-    # the shim falls back to the object path with identical results
-    assert shimmed.search_stats.engine == "object"
-    assert _ranked(shimmed) == _ranked(baseline)
+# -- plain search ------------------------------------------------------------
 
 
 def test_search_without_checker_kwarg_warns_nothing():

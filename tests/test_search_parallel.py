@@ -114,8 +114,8 @@ class TestStreamingSearch:
         }
 
     def test_parallel_equals_serial(self, eq1, v100):
-        serial = Enumerator(eq1, v100).search(keep=24, _workers=1)
-        parallel = Enumerator(eq1, v100).search(keep=24, _workers=3)
+        serial = Enumerator(eq1, v100).search(keep=24, workers=1)
+        parallel = Enumerator(eq1, v100).search(keep=24, workers=3)
         assert parallel.search_stats.workers in (1, 3)  # 1 = fallback
         assert [c.describe() for c in serial.configs] == \
             [c.describe() for c in parallel.configs]
@@ -130,7 +130,7 @@ class TestStreamingSearch:
             raise OSError("no process pool in this sandbox")
 
         monkeypatch.setattr(Enumerator, "_search_parallel", boom)
-        result = Enumerator(eq1, v100).search(keep=8, _workers=4)
+        result = Enumerator(eq1, v100).search(keep=8, workers=4)
         assert result.search_stats.workers == 1
         assert result.configs
 
@@ -261,15 +261,17 @@ class TestGenerateMany:
         assert kernels[0].contraction.internal_indices == ("k",)
 
     def test_shared_cache_dedupes_repeats(self):
-        gen = Cogent(arch="V100")
-        from repro.core.cache import KernelCache
+        """Repeats in a batch share one search in a compilation session."""
+        from repro.core.program import CompilationSession
 
-        cache = KernelCache(gen)
+        session = CompilationSession(Cogent(arch="V100"))
         c = get("ttm_mode1").contraction()
-        kernels = gen.generate_many([c, c, c], cache=cache)
-        assert kernels[0] is kernels[1] is kernels[2]
-        assert len(cache) == 1
-        # A second batch is served fully from cache.
-        again = gen.generate_many([c], cache=cache)
-        assert again[0] is kernels[0]
-        assert cache.hits >= 1
+        program = session.compile([c, c, c])
+        assert program.stats.searches == 1
+        assert program.stats.dedup_hits == 2
+        configs = {k.config.describe() for k in program.kernels}
+        assert len(configs) == 1
+        # A second batch is served from the session without a search.
+        again = session.compile([c])
+        assert again.stats.searches == 0
+        assert again.kernels[0].config == program.kernels[0].config
