@@ -3,22 +3,26 @@
 Reproduces the enumeration-pruning statistics across the TCCG suite:
 raw enumerated combinations, hardware-pruned, performance-pruned, and
 the surviving fraction, per benchmark group and overall — plus the
-per-rule pruned counts as reported by both search engines (the
-vectorized columnar path and the per-plan object oracle) on the
-paper's Eq. 1.
+per-rule pruned counts as reported by the columnar search and the
+per-plan object oracle (``tests/oracles/search.py``) on the paper's
+Eq. 1.  Run from the repo root (``python -m pytest``) so
+``tests.oracles`` imports.
 """
 
 from repro.core.constraints import HARDWARE_RULES, PERFORMANCE_RULES
-from repro.core.enumeration import ENGINES, Enumerator, paper_search_space
+from repro.core.enumeration import Enumerator, paper_search_space
 from repro.core.parser import parse
 from repro.gpu.arch import VOLTA_V100
+from tests.oracles.search import object_search
+
+ENGINES = ("columnar", "object")
 
 
 def run_pruning_stats(selection):
     rows = []
     for bench in selection:
         contraction = bench.contraction()
-        result = Enumerator(contraction, VOLTA_V100).enumerate()
+        result = Enumerator(contraction, VOLTA_V100).search(keep=1)
         rows.append((bench, result.stats, paper_search_space(contraction)))
     return rows
 
@@ -49,12 +53,16 @@ def test_pruning_statistics(benchmark, selection):
 
 
 def run_rule_pruning_eq1():
-    """Per-rule pruned counts from both engines on the paper's Eq. 1."""
+    """Per-rule pruned counts from the columnar search and the object
+    oracle on the paper's Eq. 1."""
     eq1 = parse("abcd-aebf-dfce", 24)
     outcomes = {}
     for engine in ENGINES:
-        enumerator = Enumerator(eq1, VOLTA_V100, engine=engine)
-        result = enumerator.search(keep=1)
+        enumerator = Enumerator(eq1, VOLTA_V100)
+        if engine == "object":
+            result = object_search(enumerator, keep=1)
+        else:
+            result = enumerator.search(keep=1)
         outcomes[engine] = (result, enumerator.checker.rule_stats)
     return eq1, outcomes
 
@@ -64,7 +72,7 @@ def test_rule_pruning_both_engines(benchmark):
         run_rule_pruning_eq1, rounds=1, iterations=1
     )
     print()
-    print("Eq. 1 per-rule pruned counts, columnar vs object engine")
+    print("Eq. 1 per-rule pruned counts, columnar search vs object oracle")
     print(f"{'rule':<22} {'col rej':>9} {'obj rej':>9} "
           f"{'col chk':>9} {'obj chk':>9}")
     col_stats = outcomes["columnar"][1]

@@ -4,7 +4,7 @@ Two arms:
 
 1. Exact transaction replay: the vectorized equivalence-class replay
    (`repro.gpu.memory.VectorizedReplay`) against the retained
-   per-(block, step) loop oracle (`count_transactions_reference`) on a
+   per-(block, step) loop oracle (`tests/oracles/replay.py`) on a
    mid-size TCCG contraction.  The tentpole target is >=50x with
    bit-for-bit identical counts.
 2. Suite evaluation: `SuiteRunner.compare` serial vs `workers=2`
@@ -24,12 +24,9 @@ import pytest
 
 from repro import Cogent
 from repro.evaluation import SuiteRunner
-from repro.gpu.memory import (
-    VectorizedReplay,
-    count_transactions,
-    count_transactions_reference,
-)
+from repro.gpu.memory import VectorizedReplay, count_transactions
 from repro.tccg import by_group, get
+from tests.oracles.replay import count_transactions_reference
 
 #: Mid-size TCCG contraction for the replay throughput comparison: the
 #: AO-to-MO transform stage at half its representative extents keeps

@@ -42,7 +42,6 @@ from typing import (
 import numpy as np
 
 from . import obs
-from .core.enumeration import ENGINES
 from .core.generator import Cogent, GeneratedKernel
 from .core.ir import Contraction
 from .core.mapping import KernelConfig
@@ -65,7 +64,9 @@ __all__ = [
     "tune",
 ]
 
-_DTYPE_BYTES = {"double": 8, "single": 4}
+#: Element-type names and their widths in bytes: the one spelling
+#: table shared by :class:`Options` and the CLI's ``--dtype``.
+DTYPE_BYTES = {"double": 8, "single": 4}
 
 
 @dataclass(frozen=True)
@@ -90,10 +91,6 @@ class Options:
     trace:
         Run each API call inside an observability session; fetch the
         exported payload afterwards with :func:`last_trace`.
-    engine:
-        Configuration-search engine: ``"columnar"`` (default, batch
-        vectorized) or ``"object"`` (per-plan oracle path).  Both
-        return bit-identical rankings.
     store_dir:
         Directory for the content-addressed persistent
         :class:`~repro.core.program.KernelStore`: kernel class winners
@@ -109,11 +106,6 @@ class Options:
         model (see :mod:`repro.strategies` and
         :func:`select_strategy`).  Folded into the generator's search
         signature, so dedup-first stores cache per-strategy winners.
-    path_engine:
-        Contraction-order search engine for :func:`compile_network`:
-        ``"vectorized"`` (default, NumPy bitmask batch DP) or
-        ``"object"`` (per-pair oracle).  Both return bit-identical
-        paths.
     memory_cap:
         Optional cap (in elements) on the largest intermediate a
         network contraction path may create; paths that cannot fit
@@ -139,10 +131,8 @@ class Options:
     arch: str = "V100"
     dtype: str = "double"
     trace: bool = False
-    engine: str = "columnar"
     store_dir: Optional[Union[str, Path]] = None
     strategy: str = "direct"
-    path_engine: str = "vectorized"
     memory_cap: Optional[int] = None
     target: str = "cuda"
     calibration: str = "off"
@@ -152,19 +142,14 @@ class Options:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
         if self.top_k < 1:
             raise ValueError(f"top_k must be >= 1, got {self.top_k}")
-        if self.dtype not in _DTYPE_BYTES:
+        if self.dtype not in DTYPE_BYTES:
             raise ValueError(
-                f"dtype must be one of {sorted(_DTYPE_BYTES)}, "
+                f"dtype must be one of {sorted(DTYPE_BYTES)}, "
                 f"got {self.dtype!r}"
             )
         if self.arch not in ARCHS:
             raise ValueError(
                 f"arch must be one of {sorted(ARCHS)}, got {self.arch!r}"
-            )
-        if self.engine not in ENGINES:
-            raise ValueError(
-                f"engine must be one of {sorted(ENGINES)}, "
-                f"got {self.engine!r}"
             )
         from .core.costmodel import STRATEGY_NAMES
 
@@ -173,13 +158,6 @@ class Options:
                 f"strategy must be one of "
                 f"{sorted(('auto',) + STRATEGY_NAMES)}, "
                 f"got {self.strategy!r}"
-            )
-        from .core.network import PATH_ENGINES
-
-        if self.path_engine not in PATH_ENGINES:
-            raise ValueError(
-                f"path_engine must be one of {sorted(PATH_ENGINES)}, "
-                f"got {self.path_engine!r}"
             )
         if self.memory_cap is not None and self.memory_cap < 1:
             raise ValueError(
@@ -201,7 +179,7 @@ class Options:
     @property
     def dtype_bytes(self) -> int:
         """8 for double precision, 4 for single."""
-        return _DTYPE_BYTES[self.dtype]
+        return DTYPE_BYTES[self.dtype]
 
     def evolve(self, **changes) -> "Options":
         """A copy with the given fields replaced (Options is frozen)."""
@@ -241,7 +219,6 @@ def _generator(options: Options) -> Cogent:
         arch=options.arch,
         dtype_bytes=options.dtype_bytes,
         top_k=options.top_k,
-        engine=options.engine,
         strategy=options.strategy,
         target=options.target,
         workers=options.workers,
@@ -308,9 +285,8 @@ def compile_network(
 
     Runs parse → path-optimize → schedule → memory-plan → dedup →
     codegen (see :mod:`repro.core.pipeline`): the vectorized DP picks
-    the pairwise contraction order (``options.path_engine``, optionally
-    bounded by ``options.memory_cap`` elements per intermediate), the
-    liveness planner assigns intermediates to a reusable buffer arena,
+    the pairwise contraction order (optionally bounded by
+    ``options.memory_cap`` elements per intermediate), the liveness planner assigns intermediates to a reusable buffer arena,
     isomorphic steps share one search, and ``options.store_dir`` makes
     warm runs search-free.  Returns a
     :class:`repro.core.pipeline.CompiledNetwork` — call ``.execute``
@@ -323,7 +299,6 @@ def compile_network(
         pipeline = NetworkPipeline(
             _generator(options),
             store=options.store_dir,
-            path_engine=options.path_engine,
             memory_cap=options.memory_cap,
             workers=options.workers,
         )
@@ -459,7 +434,7 @@ def tune(
     curve, best configuration and modelled tuning cost.
 
     With ``guided=True``, runs the calibrated model-guided loop instead
-    (:class:`repro.autotune.ModelGuidedStrategy`): the columnar engine
+    (:class:`repro.autotune.ModelGuidedStrategy`): the columnar search
     ranks a ``shortlist``, the calibrated correction re-ranks it, the
     simulator measures at most ``budget`` candidates with exact-replay
     traffic, the correction refits online, and the loop stops once the

@@ -58,8 +58,8 @@ import argparse
 import sys
 from typing import List, Optional
 
-from .core.enumeration import ENGINES
-from .core.generator import Cogent
+from .api import DTYPE_BYTES
+from .core.generator import Cogent, ranked_survivors
 from .core.parser import parse, parse_size_spec
 from .core.plan import KernelPlan
 from .evaluation import SuiteRunner, curve_table, format_table, to_csv
@@ -78,7 +78,7 @@ def _common_parent() -> argparse.ArgumentParser:
         help="target GPU architecture (default V100)",
     )
     p.add_argument(
-        "--dtype", default="double", choices=("double", "float"),
+        "--dtype", default="double", choices=sorted(DTYPE_BYTES),
         help="element type (default double)",
     )
     p.add_argument(
@@ -114,17 +114,6 @@ def _run_parent() -> argparse.ArgumentParser:
     return p
 
 
-def _engine_parent() -> argparse.ArgumentParser:
-    """Shared ``--engine`` flag (configuration-search implementation)."""
-    p = argparse.ArgumentParser(add_help=False)
-    p.add_argument(
-        "--engine", default="columnar", choices=sorted(ENGINES),
-        help="search engine: vectorized 'columnar' batches (default) or "
-        "the per-plan 'object' oracle path; results are bit-identical",
-    )
-    return p
-
-
 def _strategy_parent() -> argparse.ArgumentParser:
     """Shared ``--strategy`` flag (execution-strategy family)."""
     p = argparse.ArgumentParser(add_help=False)
@@ -156,7 +145,7 @@ def _obs_parent() -> argparse.ArgumentParser:
 
 
 def _dtype_bytes(args: argparse.Namespace) -> int:
-    return 8 if args.dtype == "double" else 4
+    return DTYPE_BYTES[args.dtype]
 
 
 def _resolve_contraction(
@@ -186,7 +175,6 @@ def _make_generator(args: argparse.Namespace, **extra) -> Cogent:
     """Build a Cogent from normalized CLI flags."""
     return Cogent(
         arch=args.arch, dtype_bytes=_dtype_bytes(args),
-        engine=getattr(args, "engine", "columnar"),
         target=getattr(args, "target", None) or "cuda",
         workers=max(1, getattr(args, "workers", 1)), **extra
     )
@@ -282,40 +270,6 @@ def cmd_save(args: argparse.Namespace) -> int:
     return 0
 
 
-def _rule_pruning_by_engine(cogent: Cogent, contraction) -> dict:
-    """Per-rule pruned counts from both search engines.
-
-    Runs the identical streaming search once per engine and reads the
-    checker's accumulated :class:`RuleStats`.  Totals always agree; a
-    row with multiple violations may be charged to different rules
-    (the object path reorders rules adaptively, the columnar path
-    evaluates them in canonical order).
-    """
-    from .core.enumeration import Enumerator
-
-    table: dict = {}
-    for engine in ENGINES:
-        enumerator = Enumerator(
-            contraction,
-            cogent.arch,
-            cogent.dtype_bytes,
-            tb_sizes=cogent.tb_sizes,
-            reg_sizes=cogent.reg_sizes,
-            tbk_sizes=cogent.tbk_sizes,
-            policy=cogent.policy,
-            engine=engine,
-        )
-        enumerator.search(keep=1)
-        table[engine] = {
-            name: {
-                "checks": stats.checks,
-                "rejections": stats.rejections,
-            }
-            for name, stats in enumerator.checker.rule_stats.items()
-        }
-    return table
-
-
 def _strategy_selector(args: argparse.Namespace):
     """StrategySelector from the normalized --strategy flag (or None)."""
     choice = getattr(args, "strategy", None)
@@ -352,7 +306,12 @@ def cmd_rank(args: argparse.Namespace) -> int:
     # batched contractions; strategy ranking sees the whole problem.
     core = getattr(contraction, "inner", contraction)
     cogent = _make_generator(args)
-    ranked = cogent.rank_configs(core)
+    # One search ranks every survivor and fills the per-rule counters
+    # (what Cogent.rank_configs runs, with the checker kept in hand).
+    enumerator = cogent._enumerator(core)
+    ranked, _relaxed = ranked_survivors(
+        enumerator.search(keep=enumerator.max_configs)
+    )
     print(f"{len(ranked)} configurations after pruning; top {args.top}:")
     print(f"{'rank':>4} {'cost(txns)':>12} {'GFLOPS':>9}  config")
     rows = []
@@ -371,19 +330,15 @@ def cmd_rank(args: argparse.Namespace) -> int:
     if selector is not None:
         strategy_choice = selector.choose(contraction)
         _print_strategy_choice(strategy_choice)
-    pruning = _rule_pruning_by_engine(cogent, core)
-    print("\nper-rule pruned counts (columnar | object):")
-    rules = sorted(
-        set(pruning["columnar"]) | set(pruning["object"])
-    )
-    print(f"{'rule':<22} {'col rej':>9} {'obj rej':>9} "
-          f"{'col chk':>9} {'obj chk':>9}")
-    for rule in rules:
-        col = pruning["columnar"].get(rule, {})
-        obj = pruning["object"].get(rule, {})
-        print(f"{rule:<22} {col.get('rejections', 0):>9} "
-              f"{obj.get('rejections', 0):>9} "
-              f"{col.get('checks', 0):>9} {obj.get('checks', 0):>9}")
+    pruning = {
+        name: {"checks": stats.checks, "rejections": stats.rejections}
+        for name, stats in enumerator.checker.rule_stats.items()
+    }
+    print("\nper-rule pruned counts:")
+    print(f"{'rule':<22} {'rejected':>9} {'checked':>9}")
+    for rule, counts in pruning.items():
+        print(f"{rule:<22} {counts['rejections']:>9} "
+              f"{counts['checks']:>9}")
     if args.json:
         import json
 
@@ -391,7 +346,6 @@ def cmd_rank(args: argparse.Namespace) -> int:
             "arch": args.arch,
             "dtype": args.dtype,
             "expr": args.expr,
-            "engine": getattr(args, "engine", "columnar"),
             "pruned_total": len(ranked),
             "rule_pruning": pruning,
             "top": rows,
@@ -535,7 +489,6 @@ def cmd_batch(args: argparse.Namespace) -> int:
         arch=args.arch,
         dtype_bytes=_dtype_bytes(args),
         top_k=args.top_k,
-        engine=getattr(args, "engine", "columnar"),
         workers=max(1, args.search_workers),
     )
     session = CompilationSession(cogent, store=args.store_dir)
@@ -613,7 +566,6 @@ def cmd_compile(args: argparse.Namespace) -> int:
         arch=args.arch,
         dtype_bytes=_dtype_bytes(args),
         top_k=args.top_k,
-        engine=getattr(args, "engine", "columnar"),
     )
     session = CompilationSession(cogent, store=args.store_dir)
     contractions = [bench.contraction() for bench in benches]
@@ -665,12 +617,10 @@ def cmd_network(args: argparse.Namespace) -> int:
         arch=args.arch,
         dtype_bytes=_dtype_bytes(args),
         top_k=args.top_k,
-        engine=getattr(args, "engine", "columnar"),
     )
     pipeline = NetworkPipeline(
         cogent,
         store=args.store_dir,
-        path_engine=args.path_engine,
         memory_cap=args.memory_cap,
         workers=max(1, args.workers),
     )
@@ -784,7 +734,6 @@ def _cmd_tune_guided(args: argparse.Namespace, contraction) -> int:
     options = api.Options(
         arch=args.arch,
         dtype=args.dtype,
-        engine=args.engine,
         calibration="auto",
         store_dir=args.store_dir,
     )
@@ -877,11 +826,10 @@ def build_parser() -> argparse.ArgumentParser:
     common = _common_parent()
     run_opts = _run_parent()
     obs_opts = _obs_parent()
-    engine_opts = _engine_parent()
 
     p_gen = sub.add_parser(
         "gen", help="generate a kernel",
-        parents=[common, run_opts, obs_opts, engine_opts],
+        parents=[common, run_opts, obs_opts],
     )
     p_gen.add_argument("expr", help="contraction expression or TCCG name")
     p_gen.add_argument("--sizes", help="extents, e.g. '24' or 'a=16,b=32'")
@@ -926,7 +874,7 @@ def build_parser() -> argparse.ArgumentParser:
     strategy_opts = _strategy_parent()
     p_rank = sub.add_parser(
         "rank", help="rank configurations by cost",
-        parents=[common, run_opts, engine_opts, strategy_opts],
+        parents=[common, run_opts, strategy_opts],
     )
     p_rank.add_argument("expr")
     p_rank.add_argument("--sizes")
@@ -961,7 +909,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_batch = sub.add_parser(
         "batch", help="batch-generate kernels with search statistics",
-        parents=[common, run_opts, obs_opts, engine_opts],
+        parents=[common, run_opts, obs_opts],
     )
     p_batch.add_argument(
         "names", nargs="*",
@@ -985,7 +933,7 @@ def build_parser() -> argparse.ArgumentParser:
         "compile",
         help="dedup-first workload compilation (one search per "
         "equivalence class, persistent kernel store)",
-        parents=[common, run_opts, obs_opts, engine_opts],
+        parents=[common, run_opts, obs_opts],
     )
     p_compile.add_argument(
         "names", nargs="*",
@@ -1006,7 +954,7 @@ def build_parser() -> argparse.ArgumentParser:
         "network",
         help="compile an n-ary contraction network through the staged "
         "pipeline (path search, memory plan, dedup, codegen)",
-        parents=[common, run_opts, obs_opts, engine_opts],
+        parents=[common, run_opts, obs_opts],
     )
     p_network.add_argument(
         "expr", help="n-ary network, e.g. 'ab,bc,cd->ad'",
@@ -1015,12 +963,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--sizes", help="extents, e.g. '24' or 'a=16,b=32'",
     )
     p_network.add_argument("--top-k", type=int, default=64)
-    p_network.add_argument(
-        "--path-engine", default="vectorized",
-        choices=("vectorized", "object"),
-        help="contraction-order DP: NumPy bitmask batches (default) or "
-        "the per-pair oracle; paths are bit-identical",
-    )
     p_network.add_argument(
         "--memory-cap", type=int, metavar="ELEMS",
         help="largest intermediate (elements) the path may create",
@@ -1045,7 +987,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_tune = sub.add_parser(
         "tune", help="run the TC-style autotuner",
-        parents=[common, run_opts, obs_opts, engine_opts],
+        parents=[common, run_opts, obs_opts],
     )
     p_tune.add_argument("expr")
     p_tune.add_argument("--sizes")

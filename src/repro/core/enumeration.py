@@ -20,7 +20,6 @@ performance constraints of :mod:`repro.core.constraints`.
 from __future__ import annotations
 
 import heapq
-import itertools
 import time
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
@@ -31,20 +30,12 @@ from .. import obs
 from ..gpu.arch import GpuArch
 from .columnar import DEFAULT_BATCH_SIZE, ColumnarSpace
 from .constraints import ConstraintChecker, ConstraintPolicy, RuleStats
-from .costmodel import CostModel
 from .ir import Contraction, IndexKind
-from .mapping import KernelConfig, canonical_key, config_from_spec
-from .plan import KernelPlan
+from .mapping import KernelConfig
 
 Entry = Tuple[str, int]  # (index name, tile size)
 #: A scored survivor: (model cost, canonical key, configuration).
 Scored = Tuple[int, str, KernelConfig]
-
-#: Search-engine implementations selectable per Enumerator or per call.
-#: ``"columnar"`` (default) evaluates rule predicates and the Algorithm-3
-#: cost as NumPy column operations over position batches; ``"object"``
-#: is the original per-config KernelPlan path, kept as the oracle.
-ENGINES: Tuple[str, ...] = ("columnar", "object")
 
 #: Paper defaults (Section IV-A.3): thread-block dimension size targets.
 DEFAULT_TB_SIZES: Tuple[int, ...] = (4, 8, 16)
@@ -122,8 +113,6 @@ class SearchStats:
     workers: int = 1
     #: Shards the Cartesian product was striped across.
     shards: int = 1
-    #: Engine that produced the result (``"columnar"`` or ``"object"``).
-    engine: str = "columnar"
     #: Combinations classified against the constraint rules.
     configs_checked: int = 0
     #: Survivors scored by the cost model.
@@ -132,9 +121,6 @@ class SearchStats:
     kept: int = 0
     #: Candidates micro-benchmarked on the simulator.
     simulated: int = 0
-    #: Cost-model per-tensor memo behaviour (summed across workers).
-    cost_memo_hits: int = 0
-    cost_memo_misses: int = 0
 
     @property
     def search_s(self) -> float:
@@ -158,8 +144,6 @@ class SearchStats:
         self.configs_checked += other.configs_checked
         self.configs_ranked += other.configs_ranked
         self.simulated += other.simulated
-        self.cost_memo_hits += other.cost_memo_hits
-        self.cost_memo_misses += other.cost_memo_misses
 
     def as_dict(self) -> Dict[str, float]:
         """Flat dict for JSON reporting (benchmarks, CLI ``--json``)."""
@@ -171,14 +155,11 @@ class SearchStats:
             "total_s": self.total_s,
             "workers": self.workers,
             "shards": self.shards,
-            "engine": self.engine,
             "configs_checked": self.configs_checked,
             "configs_ranked": self.configs_ranked,
             "kept": self.kept,
             "simulated": self.simulated,
             "configs_per_second": self.configs_per_second,
-            "cost_memo_hits": self.cost_memo_hits,
-            "cost_memo_misses": self.cost_memo_misses,
         }
 
     def summary(self) -> str:
@@ -196,16 +177,11 @@ class SearchStats:
 
 @dataclass
 class EnumerationResult:
-    """Accepted configurations plus pruning statistics.
+    """Ranked survivors of :meth:`Enumerator.search` plus pruning stats.
 
-    Produced by both search modes:
-
-    * :meth:`Enumerator.enumerate` materialises **all** accepted
-      configurations (``costs`` is ``None``);
-    * :meth:`Enumerator.search` streams the space through a bounded
-      top-k heap — ``configs`` holds only the ``keep`` best survivors in
-      rank order, with their model costs in ``costs``, and
-      ``search_stats`` carries the timing breakdown.
+    ``configs`` holds the ``keep`` best survivors in (cost, canonical
+    key) order with their model costs in ``costs``; ``search_stats``
+    carries the timing breakdown.
     """
 
     configs: List[KernelConfig]
@@ -213,11 +189,11 @@ class EnumerationResult:
     #: Configurations that were hardware-clean but perf-pruned; used as a
     #: fallback when the performance rules are too strict for a problem.
     feasible_rejects: List[KernelConfig] = field(default_factory=list)
-    #: Model costs aligned with ``configs`` (streaming search only).
+    #: Model costs aligned with ``configs``.
     costs: Optional[List[int]] = None
-    #: Model costs aligned with ``feasible_rejects`` (streaming only).
+    #: Model costs aligned with ``feasible_rejects``.
     reject_costs: Optional[List[int]] = None
-    #: Timing breakdown (streaming search only).
+    #: Timing breakdown.
     search_stats: Optional[SearchStats] = None
 
 
@@ -266,7 +242,7 @@ class TopK:
         """(cost, key) of the worst retained entry once the heap is full.
 
         ``None`` while fewer than ``k`` entries are held (everything
-        still enters).  The columnar engine uses this to drop whole
+        still enters).  The search uses this to drop whole
         batch slices that cannot beat the current head.
         """
         if len(self._heap) < self.k:
@@ -343,13 +319,8 @@ class Enumerator:
         tbk_sizes: Sequence[int] = DEFAULT_TBK_SIZES,
         policy: Optional[ConstraintPolicy] = None,
         max_configs: int = 200_000,
-        engine: str = "columnar",
         batch_size: Optional[int] = None,
     ) -> None:
-        if engine not in ENGINES:
-            raise ValueError(
-                f"unknown search engine {engine!r}; expected one of {ENGINES}"
-            )
         self.contraction = contraction
         self.arch = arch
         self.dtype_bytes = dtype_bytes
@@ -358,8 +329,7 @@ class Enumerator:
         self.tbk_sizes = tuple(tbk_sizes)
         self.checker = ConstraintChecker(arch, dtype_bytes, policy)
         self.max_configs = max_configs
-        self.engine = engine
-        #: Columnar-engine rows per evaluation batch (None = default).
+        #: Rows per columnar evaluation batch (None = default).
         self.batch_size = batch_size
         self._extents = {
             i: contraction.extent(i) for i in contraction.all_indices
@@ -468,155 +438,7 @@ class Enumerator:
             choices.add(tuple((i, self._extents[i]) for i in internals))
         return sorted(choices, key=str)
 
-    # -- combination + pruning ---------------------------------------------
-
-    def enumerate(self) -> EnumerationResult:
-        """Full enumeration: combine partials, prune, deduplicate."""
-        contraction = self.contraction
-        x_partials = self.enumerate_x_side()
-        y_partials = self.enumerate_y_side()
-        k_partials = self.enumerate_tb_k()
-
-        stats = EnumerationStats()
-        seen: Set[Tuple] = set()
-        accepted: List[KernelConfig] = []
-        feasible_rejects: List[KernelConfig] = []
-
-        for xp, yp, kp in itertools.product(x_partials, y_partials, k_partials):
-            stats.raw_combinations += 1
-            if stats.raw_combinations > self.max_configs:
-                break
-            key = (xp.tb, xp.reg, yp.tb, yp.reg, kp)
-            if key in seen:
-                stats.duplicates += 1
-                continue
-            seen.add(key)
-            config = config_from_spec(
-                contraction,
-                tb_x=xp.tb,
-                tb_y=yp.tb,
-                reg_x=xp.reg,
-                reg_y=yp.reg,
-                tb_k=kp,
-                fill_defaults=True,
-            )
-            report = self.checker.check_config(contraction, config)
-            if not report.feasible:
-                stats.hardware_pruned += 1
-                continue
-            if not report.accepted:
-                stats.performance_pruned += 1
-                feasible_rejects.append(config)
-                continue
-            stats.accepted += 1
-            accepted.append(config)
-
-        return EnumerationResult(accepted, stats, feasible_rejects)
-
     # -- streaming / parallel search ---------------------------------------
-
-    def _stream(
-        self,
-        cost_model: CostModel,
-        keep: int,
-        shard: int = 0,
-        num_shards: int = 1,
-    ) -> _ShardOutcome:
-        """One pass over this shard of the Cartesian product.
-
-        Prunes with the adaptively-ordered fast constraint path and
-        scores survivors straight into a bounded :class:`TopK`, so the
-        shard never materialises its survivors.  Shard ``shard`` of
-        ``num_shards`` processes product positions ``shard, shard +
-        num_shards, ...`` below the global ``max_configs`` budget, which
-        partitions the serial walk exactly.
-        """
-        stream_start = time.perf_counter()
-        contraction = self.contraction
-        x_partials = self.enumerate_x_side()
-        y_partials = self.enumerate_y_side()
-        k_partials = self.enumerate_tb_k()
-
-        stats = EnumerationStats()
-        search = SearchStats(shards=num_shards)
-        seen: Set[Tuple] = set()
-        top = TopK(keep)
-        fallback = TopK(keep)
-        memo_hits0 = cost_model.memo_hits
-        memo_misses0 = cost_model.memo_misses
-        rules0 = {
-            name: (s.checks, s.rejections, s.time_s)
-            for name, s in self.checker.rule_stats.items()
-        }
-        prune_s = 0.0
-        rank_s = 0.0
-
-        combos = itertools.islice(
-            itertools.product(x_partials, y_partials, k_partials),
-            shard, self.max_configs, num_shards,
-        )
-        for xp, yp, kp in combos:
-            stats.raw_combinations += 1
-            key = (xp.tb, xp.reg, yp.tb, yp.reg, kp)
-            if key in seen:
-                stats.duplicates += 1
-                continue
-            seen.add(key)
-            config = config_from_spec(
-                contraction,
-                tb_x=xp.tb,
-                tb_y=yp.tb,
-                reg_x=xp.reg,
-                reg_y=yp.reg,
-                tb_k=kp,
-                fill_defaults=True,
-            )
-            plan = KernelPlan(contraction, config, self.dtype_bytes)
-            t0 = time.perf_counter()
-            verdict = self.checker.classify(plan)
-            prune_s += time.perf_counter() - t0
-            search.configs_checked += 1
-            if verdict == "hardware":
-                stats.hardware_pruned += 1
-                continue
-            if verdict == "performance":
-                stats.performance_pruned += 1
-                # Rejects only matter when *nothing* is accepted (the
-                # generator's tiny-problem fallback); stop scoring them
-                # as soon as this shard has a real survivor.  When the
-                # fallback is used, no shard found survivors, so every
-                # shard scored every reject — deterministically.
-                if len(top) == 0:
-                    t0 = time.perf_counter()
-                    cost = cost_model.cost(plan)
-                    fallback.push(cost, canonical_key(config), config)
-                    rank_s += time.perf_counter() - t0
-                    search.configs_ranked += 1
-                continue
-            stats.accepted += 1
-            t0 = time.perf_counter()
-            cost = cost_model.cost(plan)
-            top.push(cost, canonical_key(config), config)
-            rank_s += time.perf_counter() - t0
-            search.configs_ranked += 1
-
-        total = time.perf_counter() - stream_start
-        search.pruning_s = prune_s
-        search.ranking_s = rank_s
-        search.enumeration_s = max(total - prune_s - rank_s, 0.0)
-        search.cost_memo_hits = cost_model.memo_hits - memo_hits0
-        search.cost_memo_misses = cost_model.memo_misses - memo_misses0
-        rules = {
-            name: RuleStats(
-                checks=s.checks - rules0[name][0],
-                rejections=s.rejections - rules0[name][1],
-                time_s=s.time_s - rules0[name][2],
-            )
-            for name, s in self.checker.rule_stats.items()
-        }
-        return _ShardOutcome(
-            top.items(), fallback.items(), stats, search, rules
-        )
 
     def columnar_space(self) -> ColumnarSpace:
         """The struct-of-arrays encoding of this enumerator's families."""
@@ -632,25 +454,20 @@ class Enumerator:
 
     def _stream_columnar(
         self,
-        cost_model: CostModel,
         keep: int,
         shard: int = 0,
         num_shards: int = 1,
     ) -> _ShardOutcome:
-        """Columnar counterpart of :meth:`_stream`: batches, not objects.
+        """One pass over this shard of the capped product, in batches.
 
-        The shard walks the same capped position stream the object path
-        does, in batches of ``batch_size`` rows; shard ``shard`` of
+        The shard walks product positions ``0 .. max_configs`` in
+        batches of ``batch_size`` rows; shard ``shard`` of
         ``num_shards`` takes every ``num_shards``-th batch.  Each batch
         is classified by the vectorized Algorithm-2 predicates, scored
         with the closed-form Algorithm-3 cost over survivors, and top-k
         candidates are preselected with ``np.argpartition`` before any
-        canonical key or :class:`KernelConfig` is built.  Verdicts,
-        costs and the ranked head are identical to the object path's
-        (``cost_model`` is accepted for signature parity; the closed
-        form needs no memo).
+        canonical key or :class:`KernelConfig` is built.
         """
-        del cost_model  # closed-form cost; kept for signature parity
         stream_start = time.perf_counter()
         space = self.columnar_space()
         stats = EnumerationStats()
@@ -697,10 +514,10 @@ class Enumerator:
                 )
                 search.configs_ranked += n_accepted
             if not seen_accepted:
-                # Object-path parity: perf rejects are scored only while
-                # no accepted survivor has streamed past (they feed the
-                # tiny-problem fallback, which is only consulted when
-                # *nothing* is accepted anywhere).
+                # Perf rejects are scored only while no accepted
+                # survivor has streamed past: they feed the tiny-problem
+                # fallback, which is only consulted when *nothing* is
+                # accepted anywhere, so every shard then scored all.
                 if n_accepted:
                     cutoff = int(np.flatnonzero(accepted)[0])
                     reject_mask = perf_rejected & (np.arange(n) < cutoff)
@@ -733,44 +550,27 @@ class Enumerator:
             stats, search, rules,
         )
 
-    def search(
-        self,
-        keep: int = 64,
-        workers: int = 1,
-        cost_model: Optional[CostModel] = None,
-        *,
-        engine: Optional[str] = None,
-    ) -> EnumerationResult:
+    def search(self, keep: int = 64, workers: int = 1) -> EnumerationResult:
         """Streaming search: prune + rank, retaining only ``keep`` best.
 
-        ``engine`` selects the evaluation path: ``"columnar"`` (the
-        default, from the constructor) batches the Cartesian product
+        The Cartesian product of partial configurations is batched
         through vectorized rule predicates and the closed-form
-        Algorithm-3 cost; ``"object"`` is the per-config
-        :class:`KernelPlan` path.  Both produce the identical ranked
-        head (cost, canonical key, config).
+        Algorithm-3 cost (:mod:`repro.core.columnar`); survivors stream
+        into a bounded top-k heap ordered by (cost, canonical key).
+        ``keep=max_configs`` ranks every survivor.
 
-        With more than one worker the product is sharded across a
-        :class:`concurrent.futures.ProcessPoolExecutor` — the object
-        engine stripes config positions, the columnar engine stripes
-        position *batches* — and the coordinator merges the bounded
-        per-shard heads with :func:`heapq.nsmallest`, so survivors are
-        never globally materialised or sorted.  Falls back to the
-        serial in-process path when only one worker is requested or the
-        pool cannot be used (sandboxed environments, unpicklable
-        policies, ...).
+        With more than one worker, position *batches* are striped
+        across a :class:`concurrent.futures.ProcessPoolExecutor` and
+        the coordinator merges the bounded per-shard heads with
+        :func:`heapq.nsmallest`, so survivors are never globally
+        materialised or sorted.  Falls back to the serial in-process
+        path when only one worker is requested or the pool cannot be
+        used (sandboxed environments, unpicklable policies, ...).
 
         Serial and parallel searches select the identical ranked heads:
         cost ties break on the canonical config key, and shard striping
         partitions exactly the combination stream the serial walk sees.
-        (Per-shard *duplicate* counters can differ, since deduplication
-        is per worker.)
         """
-        engine = self.engine if engine is None else engine
-        if engine not in ENGINES:
-            raise ValueError(
-                f"unknown search engine {engine!r}; expected one of {ENGINES}"
-            )
         start = time.perf_counter()
         workers = max(1, int(workers))
         with obs.span("search"):
@@ -778,25 +578,17 @@ class Enumerator:
             used_workers = 1
             if workers > 1:
                 try:
-                    outcomes = self._search_parallel(keep, workers, engine)
+                    outcomes = self._search_parallel(keep, workers)
                     used_workers = workers
                 except Exception:
                     outcomes = []
             if not outcomes:
-                model = cost_model if cost_model is not None else CostModel(
-                    self.dtype_bytes, self.arch.transaction_bytes
-                )
-                stream = (
-                    self._stream_columnar if engine == "columnar"
-                    else self._stream
-                )
-                outcomes = [stream(model, keep)]
+                outcomes = [self._stream_columnar(keep)]
                 used_workers = 1
 
             stats = EnumerationStats()
             search_stats = SearchStats(workers=used_workers,
-                                       shards=len(outcomes),
-                                       engine=engine)
+                                       shards=len(outcomes))
             for outcome in outcomes:
                 stats.raw_combinations += outcome.stats.raw_combinations
                 stats.hardware_pruned += outcome.stats.hardware_pruned
@@ -852,18 +644,17 @@ class Enumerator:
             session.metrics.absorb_rule_stats(outcome.rules)
 
     def _search_parallel(
-        self, keep: int, workers: int, engine: Optional[str] = None
+        self, keep: int, workers: int
     ) -> List[_ShardOutcome]:
         """Fan the product shards out over a process pool."""
         from concurrent.futures import ProcessPoolExecutor
 
-        engine = self.engine if engine is None else engine
         payloads = [
             (
                 self.contraction, self.arch, self.dtype_bytes,
                 self.tb_sizes, self.reg_sizes, self.tbk_sizes,
                 self.checker.policy, self.max_configs,
-                keep, shard, workers, engine, self.batch_size,
+                keep, shard, workers, self.batch_size,
             )
             for shard in range(workers)
         ]
@@ -874,20 +665,13 @@ class Enumerator:
 def _search_shard(payload: Tuple) -> _ShardOutcome:
     """Process-pool entry point: run one shard of a streaming search."""
     (contraction, arch, dtype_bytes, tb_sizes, reg_sizes, tbk_sizes,
-     policy, max_configs, keep, shard, num_shards, engine,
-     batch_size) = payload
+     policy, max_configs, keep, shard, num_shards, batch_size) = payload
     enumerator = Enumerator(
         contraction, arch, dtype_bytes,
         tb_sizes=tb_sizes, reg_sizes=reg_sizes, tbk_sizes=tbk_sizes,
-        policy=policy, max_configs=max_configs, engine=engine,
-        batch_size=batch_size,
+        policy=policy, max_configs=max_configs, batch_size=batch_size,
     )
-    cost_model = CostModel(dtype_bytes, arch.transaction_bytes)
-    if engine == "columnar":
-        return enumerator._stream_columnar(
-            cost_model, keep, shard, num_shards
-        )
-    return enumerator._stream(cost_model, keep, shard, num_shards)
+    return enumerator._stream_columnar(keep, shard, num_shards)
 
 
 def _push_candidates(
@@ -948,12 +732,3 @@ def _merge_scored(
         keep, best.values(), key=lambda e: (e[0], e[1])
     )
 
-
-def enumerate_configs(
-    contraction: Contraction,
-    arch: GpuArch,
-    dtype_bytes: int = 8,
-    **kwargs,
-) -> EnumerationResult:
-    """Convenience wrapper around :class:`Enumerator`."""
-    return Enumerator(contraction, arch, dtype_bytes, **kwargs).enumerate()

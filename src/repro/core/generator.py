@@ -31,7 +31,6 @@ from .enumeration import (
     DEFAULT_REG_SIZES,
     DEFAULT_TB_SIZES,
     DEFAULT_TBK_SIZES,
-    ENGINES,
     EnumerationResult,
     Enumerator,
 )
@@ -188,14 +187,6 @@ class Cogent:
         performance simulator.  ``top_k=1`` selects purely by the cost
         model (the paper's primary mode).  The streaming search keeps
         exactly ``top_k`` survivors in its bounded heap.
-    engine:
-        Search-engine implementation: ``"columnar"`` (default)
-        evaluates Algorithm 2's pruning rules and Algorithm 3's cost
-        as vectorized batch predicates over integer-coded columns;
-        ``"object"`` walks materialised :class:`KernelPlan` objects
-        through :class:`ConstraintChecker`/:class:`CostModel`.  Both
-        engines return bit-identical top-k results; the object path is
-        retained as the oracle for differential testing.
     workers:
         Process-pool width for the configuration search: the Cartesian
         product of partial-configuration families is striped across
@@ -218,15 +209,10 @@ class Cogent:
         allow_split: bool = True,
         split_factors: Sequence[int] = (4, 8, 16),
         allow_merge: bool = False,
-        engine: str = "columnar",
         workers: int = 1,
         strategy: str = "direct",
         target: str = "cuda",
     ) -> None:
-        if engine not in ENGINES:
-            raise ValueError(
-                f"unknown search engine {engine!r}; choose from {ENGINES}"
-            )
         from .costmodel import STRATEGY_NAMES
 
         if strategy not in ("auto",) + STRATEGY_NAMES:
@@ -241,7 +227,6 @@ class Cogent:
             )
         self.arch = get_arch(arch) if isinstance(arch, str) else arch
         self.dtype_bytes = dtype_bytes
-        self.engine = engine
         #: Default codegen target for emitted kernels
         #: (:func:`repro.core.codegen.list_targets` has the choices).
         self.target = target
@@ -276,9 +261,8 @@ class Cogent:
         (:func:`repro.core.program.workload_key`): two generators with
         equal signatures (and arch/dtype) pick identical kernels for
         identical contractions, so they may share searches and stored
-        winners.  ``workers`` and ``engine`` are deliberately excluded —
-        both are guaranteed bit-identical to their serial/object
-        counterparts.
+        winners.  ``workers`` is deliberately excluded — parallel
+        searches are guaranteed bit-identical to serial ones.
         """
         if self.policy is None:
             policy = "default"
@@ -500,10 +484,17 @@ class Cogent:
     def rank_configs(
         self, contraction: Contraction
     ) -> List[Tuple[KernelConfig, int]]:
-        """All pruned configurations ranked by the cost model."""
-        enumeration = self._enumerate(contraction)
-        configs = enumeration.configs or enumeration.feasible_rejects
-        return self.cost_model.rank(contraction, configs)
+        """All pruned configurations ranked by (cost, canonical key).
+
+        One search that keeps every survivor; when the performance
+        rules reject everything, the hardware-feasible rejects are
+        ranked instead (as in kernel selection).
+        """
+        enumerator = self._enumerator(contraction)
+        ranked, _relaxed = ranked_survivors(
+            enumerator.search(keep=enumerator.max_configs)
+        )
+        return ranked
 
     def estimate(self, plan: KernelPlan) -> TransactionEstimate:
         """Cost-model transaction estimate for an arbitrary plan."""
@@ -524,19 +515,12 @@ class Cogent:
             reg_sizes=self.reg_sizes,
             tbk_sizes=self.tbk_sizes,
             policy=self.policy,
-            engine=self.engine,
         )
-
-    def _enumerate(self, contraction: Contraction) -> EnumerationResult:
-        """Full (materialising) enumeration — the introspection path."""
-        return self._enumerator(contraction).enumerate()
 
     def _search(self, contraction: Contraction) -> EnumerationResult:
         """Streaming prune+rank search, sharded across ``workers``."""
         return self._enumerator(contraction).search(
-            keep=self.top_k,
-            cost_model=self.cost_model,
-            workers=self.workers,
+            keep=self.top_k, workers=self.workers
         )
 
     def _select(
@@ -544,25 +528,18 @@ class Cogent:
         contraction: Contraction,
         enumeration: EnumerationResult,
     ) -> Tuple[List[CandidateScore], str]:
-        configs = enumeration.configs
-        costs = enumeration.costs
-        if not configs:
-            # Performance rules rejected everything (tiny problems):
-            # fall back to hardware-feasible configurations.
-            configs = enumeration.feasible_rejects
-            costs = enumeration.reject_costs
-        if not configs:
+        ranked, relaxed = ranked_survivors(enumeration)
+        if not ranked:
             raise RuntimeError(
                 f"no feasible configuration found for {contraction}"
             )
-        if costs:
-            # Streaming search: survivors arrive ranked, costs attached.
-            ranked = list(zip(configs, costs))
-        else:
-            ranked = self.cost_model.rank(contraction, configs)
+        suffix = ""
+        if relaxed:
+            obs.inc("search.fallback.relaxed")
+            suffix = "+relaxed"
         candidates = [CandidateScore(cfg, cost) for cfg, cost in ranked]
         if self.top_k == 1 or len(candidates) == 1:
-            return candidates, "cost-model"
+            return candidates, "cost-model" + suffix
         # Micro-benchmark the top-k on the simulator and re-rank them
         # with a bounded streaming merge; ties on simulated time break
         # on (model cost, canonical key) to stay deterministic across
@@ -587,7 +564,22 @@ class Cogent:
             stats.simulation_s += sim_s
             stats.total_s += sim_s
             stats.simulated += len(head)
-        return head + candidates[self.top_k:], "model+microbench"
+        return head + candidates[self.top_k:], "model+microbench" + suffix
+
+
+def ranked_survivors(
+    enumeration: EnumerationResult,
+) -> Tuple[List[Tuple[KernelConfig, int]], bool]:
+    """Ranked (config, cost) survivors and whether they are relaxed.
+
+    When the performance rules rejected everything (tiny problems), the
+    hardware-feasible rejects stand in; the flag reports that fallback.
+    """
+    if enumeration.configs:
+        return list(zip(enumeration.configs, enumeration.costs)), False
+    rejects = list(zip(enumeration.feasible_rejects,
+                       enumeration.reject_costs))
+    return rejects, bool(rejects)
 
 
 def _generate_job(payload: Tuple[Cogent, Contraction, str, bool]):

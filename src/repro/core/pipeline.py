@@ -514,13 +514,11 @@ class NetworkPipeline:
         generator: Optional[Cogent] = None,
         store=None,
         *,
-        path_engine: str = "vectorized",
         memory_cap: Optional[int] = None,
         workers: int = 1,
     ) -> None:
         self.generator = generator or Cogent()
         self.session = CompilationSession(self.generator, store=store)
-        self.path_engine = path_engine
         self.memory_cap = memory_cap
         self.workers = max(1, int(workers))
         self.stages: Tuple[PipelineStage, ...] = (
@@ -555,11 +553,7 @@ class NetworkPipeline:
                 build.workload, build.kernel_names
             )
             return
-        build.path = optimal_path(
-            build.spec,
-            engine=self.path_engine,
-            memory_cap=self.memory_cap,
-        )
+        build.path = optimal_path(build.spec, memory_cap=self.memory_cap)
         build.dag = ContractionDAG.from_path(build.path)
         obs.gauge("network.path.flops", float(build.path.total_flops))
         obs.gauge(

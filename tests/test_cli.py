@@ -56,7 +56,7 @@ class TestGenCommand:
 
     def test_gen_float(self, capsys):
         assert main(["gen", "ab-ak-kb", "--sizes", "64",
-                     "--dtype", "float"]) == 0
+                     "--dtype", "single"]) == 0
         assert "float" in capsys.readouterr().out
 
 
@@ -67,6 +67,25 @@ class TestRankCommand:
         out = capsys.readouterr().out
         assert "configurations after pruning" in out
         assert "GFLOPS" in out
+
+    def test_rank_runs_one_search(self, tmp_path, capsys):
+        import json
+
+        from repro import obs
+
+        out = tmp_path / "rank.json"
+        with obs.tracing() as session:
+            assert main(["rank", "ab-ak-kb", "--sizes", "128",
+                         "--top", "3", "--json", str(out)]) == 0
+        counters = session.payload()["metrics"]["counters"]
+        assert counters["search.searches"] == 1
+        payload = json.loads(out.read_text())
+        assert "engine" not in payload
+        pruning = payload["rule_pruning"]
+        assert set(pruning["smem"]) == {"checks", "rejections"}
+        rejected = sum(r["rejections"] for r in pruning.values())
+        assert rejected == (counters["search.hardware_pruned"]
+                            + counters["search.performance_pruned"])
 
 
 class TestBenchCommand:
@@ -125,6 +144,11 @@ class TestTuneCommand:
         out = capsys.readouterr().out
         assert "untuned" in out
         assert "COGENT (model-driven)" in out
+
+    def test_tune_guided_single_precision(self, capsys):
+        assert main(["tune", "ab-ak-kb", "--sizes", "32", "--guided",
+                     "--budget", "2", "--dtype", "single"]) == 0
+        assert "calibration:" in capsys.readouterr().out
 
 
 class TestBatchCommand:

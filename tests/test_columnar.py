@@ -1,18 +1,18 @@
 """Tests for the columnar (struct-of-arrays) search engine.
 
-The object path (:class:`ConstraintChecker` + :class:`CostModel` over
-materialised :class:`KernelPlan` objects) is the oracle; these tests
-pin the columnar engine to it:
+The per-plan object search (``tests/oracles/search.py``: the
+checker's rule methods + :class:`CostModel` over materialised
+:class:`KernelPlan` objects) is the oracle; these tests pin the
+columnar search to it:
 
-* engine parity — identical top-k (cost, canonical key, config),
-  pruning statistics and fallback sets on real contractions, serial
-  and sharded;
+* oracle parity — identical top-k (cost, canonical key, config),
+  pruning statistics, fallback sets and per-rule counters on real
+  contractions, serial and sharded;
 * hypothesis property tests — every vectorized rule predicate agrees
   with the corresponding ``_rule_*`` method and the closed-form
   Algorithm-3 cost equals ``CostModel.cost`` exactly, per product
   position, on random contractions;
-* the zero-call ``RuleStats`` regression, and a plain search emitting
-  no deprecation warnings.
+* a plain search emitting no deprecation warnings.
 """
 
 import warnings
@@ -22,19 +22,15 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro import api, parse
-from repro.core.constraints import (
-    HARDWARE_RULES,
-    PERFORMANCE_RULES,
-    RuleStats,
-)
+from repro import parse
+from repro.core.constraints import HARDWARE_RULES, PERFORMANCE_RULES
 from repro.core.costmodel import CostModel, row_transaction_columns
-from repro.core.enumeration import ENGINES, Enumerator
-from repro.core.generator import Cogent
+from repro.core.enumeration import Enumerator
 from repro.core.ir import Contraction, TensorRef
 from repro.core.mapping import canonical_key, canonical_key_from_spec
 from repro.core.plan import KernelPlan
 from repro.gpu.arch import PASCAL_P100, VOLTA_V100
+from tests.oracles.search import object_search
 
 ALPHABET = "abcdefgh"
 
@@ -74,9 +70,12 @@ def _ranked(result):
 
 
 def _search(contraction, engine, arch=VOLTA_V100, keep=16, **kwargs):
-    return Enumerator(contraction, arch, engine=engine, **kwargs).search(
-        keep=keep
-    )
+    """``engine="columnar"`` runs the production search, ``"object"``
+    the per-plan oracle."""
+    enumerator = Enumerator(contraction, arch, **kwargs)
+    if engine == "object":
+        return object_search(enumerator, keep=keep)
+    return enumerator.search(keep=keep)
 
 
 PARITY_CASES = [
@@ -87,7 +86,7 @@ PARITY_CASES = [
 ]
 
 
-# -- engine parity ----------------------------------------------------------
+# -- oracle parity ----------------------------------------------------------
 
 
 @pytest.mark.parametrize("expr,sizes", PARITY_CASES)
@@ -113,7 +112,7 @@ def test_topk_parity_p100():
 def test_sharded_columnar_matches_serial():
     contraction = parse("abcd-aebf-dfce", 24)
     serial = _search(contraction, "columnar")
-    sharded = Enumerator(contraction, VOLTA_V100, engine="columnar").search(
+    sharded = Enumerator(contraction, VOLTA_V100).search(
         keep=16, workers=4
     )
     assert _ranked(sharded) == _ranked(serial)
@@ -130,49 +129,13 @@ def test_small_batches_match_one_batch():
     assert list(small.reject_costs) == list(one.reject_costs)
 
 
-def test_search_stats_report_engine():
-    contraction = parse("ab-ak-kb", {"a": 24, "b": 16, "k": 12})
-    for engine in ENGINES:
-        result = _search(contraction, engine)
-        assert result.search_stats.engine == engine
-        assert result.search_stats.as_dict()["engine"] == engine
-
-
-def test_unknown_engine_rejected():
-    contraction = parse("ab-ak-kb", 8)
-    with pytest.raises(ValueError, match="engine"):
-        Enumerator(contraction, VOLTA_V100, engine="simd")
-    with pytest.raises(ValueError, match="engine"):
-        Cogent(engine="simd")
-    with pytest.raises(ValueError, match="engine"):
-        api.Options(engine="simd")
-
-
-def test_generator_engine_flows_to_enumerator():
-    for engine in ENGINES:
-        cogent = Cogent(engine=engine)
-        enumerator = cogent._enumerator(parse("ab-ak-kb", 8))
-        assert enumerator.engine == engine
-
-
-def test_api_engines_agree():
-    options = api.Options(top_k=4)
-    assert options.engine == "columnar"
-    col = api.compile("ab-ak-kb", {"a": 24, "b": 16, "k": 12},
-                      options=options)
-    obj = api.compile("ab-ak-kb", {"a": 24, "b": 16, "k": 12},
-                      options=options.evolve(engine="object"))
-    assert col.config.describe() == obj.config.describe()
-    assert col.cost == obj.cost
-
-
 # -- per-rule telemetry -----------------------------------------------------
 
 
 def test_columnar_rule_stats_totals():
     """Batched rule counts land in the checker and sum consistently."""
     contraction = parse("abcd-aebf-dfce", 24)
-    enumerator = Enumerator(contraction, VOLTA_V100, engine="columnar")
+    enumerator = Enumerator(contraction, VOLTA_V100)
     result = enumerator.search(keep=8)
     stats = enumerator.checker.rule_stats
     total_rejections = sum(s.rejections for s in stats.values())
@@ -183,24 +146,16 @@ def test_columnar_rule_stats_totals():
     assert stats[HARDWARE_RULES[0]].checks == result.stats.raw_combinations
 
 
-def test_columnar_engine_counter_in_obs():
-    from repro import obs
-
-    with obs.tracing() as session:
-        api.compile("ab-ak-kb", {"a": 24, "b": 16, "k": 12},
-                    options=api.Options(top_k=2))
-    counters = session.payload()["metrics"]["counters"]
-    assert counters.get("search.engine.columnar", 0) >= 1
-
-
-# -- RuleStats zero-call regression ----------------------------------------
-
-
-def test_rule_stats_zero_calls_do_not_raise():
-    stats = RuleStats()
-    assert stats.selectivity == 0.0
-    assert stats.efficiency == 0.0
-    assert stats.cost_s == 0.0
+def test_rule_counters_match_oracle():
+    """Both searches charge each pruned row to its first canonical rule."""
+    contraction = parse("abcd-aebf-dfce", 24)
+    col, obj = Enumerator(contraction, VOLTA_V100), \
+        Enumerator(contraction, VOLTA_V100)
+    col.search(keep=8)
+    object_search(obj, keep=8)
+    for name in HARDWARE_RULES + PERFORMANCE_RULES:
+        a, b = col.checker.rule_stats[name], obj.checker.rule_stats[name]
+        assert (a.checks, a.rejections) == (b.checks, b.rejections), name
 
 
 # -- plain search ------------------------------------------------------------

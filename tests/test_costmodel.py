@@ -12,6 +12,7 @@ from repro.core.costmodel import (
 from repro.core.mapping import config_from_spec
 from repro.core.parser import parse
 from repro.core.plan import KernelPlan
+from tests.oracles.search import enumerate_configs, rank
 
 
 @pytest.fixture
@@ -182,22 +183,23 @@ class TestClipped:
             model.estimate(plan, clipped=False).total
 
 
+def accepted_configs(contraction, arch):
+    from repro.core.enumeration import Enumerator
+
+    return enumerate_configs(Enumerator(contraction, arch)).configs
+
+
 class TestRank:
     def test_rank_sorted_ascending(self, eq1, v100):
-        from repro.core.enumeration import Enumerator
-
-        configs = Enumerator(eq1, v100).enumerate().configs
-        ranked = CostModel().rank(eq1, configs)
+        ranked = rank(CostModel(), eq1, accepted_configs(eq1, v100))
         costs = [cost for _, cost in ranked]
         assert costs == sorted(costs)
 
     def test_rank_deterministic(self, eq1, v100):
-        from repro.core.enumeration import Enumerator
-
-        configs = Enumerator(eq1, v100).enumerate().configs
+        configs = accepted_configs(eq1, v100)
         model = CostModel()
-        first = [c.describe() for c, _ in model.rank(eq1, configs)[:10]]
-        second = [c.describe() for c, _ in model.rank(eq1, configs)[:10]]
+        first = [c.describe() for c, _ in rank(model, eq1, configs)[:10]]
+        second = [c.describe() for c, _ in rank(model, eq1, configs)[:10]]
         assert first == second
 
 
@@ -223,11 +225,9 @@ class TestMemoization:
         assert model.memo_misses == 3
 
     def test_shared_tilings_hit_across_configs(self, eq1, v100):
-        from repro.core.enumeration import Enumerator
-
-        configs = Enumerator(eq1, v100).enumerate().configs
+        configs = accepted_configs(eq1, v100)
         model = CostModel()
-        model.rank(eq1, configs)
+        rank(model, eq1, configs)
         info = model.memo_info()
         # Thousands of configurations share far fewer per-tensor tilings.
         assert info["hits"] > info["misses"]
@@ -237,9 +237,7 @@ class TestMemoization:
     def test_memoized_equals_fresh(self, eq1, v100):
         """Every memoized TransactionEstimate equals one computed by a
         brand-new model (no stale or mixed-up cache entries)."""
-        from repro.core.enumeration import Enumerator
-
-        configs = Enumerator(eq1, v100).enumerate().configs
+        configs = accepted_configs(eq1, v100)
         shared = CostModel()
         for config in configs[:200]:
             plan = KernelPlan(eq1, config)

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import Cogent, obs
 from repro.core.enumeration import Enumerator, _greedy_fill, _rotations
 from repro.core.mapping import Dim
 from repro.core.parser import parse
@@ -102,15 +103,20 @@ class TestPartials:
         assert partials == [type(partials[0])((), ())]
 
 
+def search_all(enumerator):
+    """The production search keeping every survivor."""
+    return enumerator.search(keep=enumerator.max_configs)
+
+
 class TestEnumerate:
     def test_produces_valid_configs(self, enumerator, eq1):
-        result = enumerator.enumerate()
+        result = search_all(enumerator)
         assert result.configs
         for cfg in result.configs[:50]:
             cfg.validate_for(eq1)  # raises on violation
 
     def test_stats_add_up(self, enumerator):
-        result = enumerator.enumerate()
+        result = search_all(enumerator)
         stats = result.stats
         total = (
             stats.hardware_pruned
@@ -121,22 +127,22 @@ class TestEnumerate:
         assert total == stats.raw_combinations
 
     def test_pruned_fraction_between_0_and_1(self, enumerator):
-        stats = enumerator.enumerate().stats
+        stats = search_all(enumerator).stats
         assert 0.0 <= stats.pruned_fraction <= 1.0
 
     def test_substantial_pruning_happens(self, enumerator):
-        stats = enumerator.enumerate().stats
+        stats = search_all(enumerator).stats
         assert stats.pruned_fraction > 0.25
 
     def test_no_duplicate_configs(self, enumerator):
-        result = enumerator.enumerate()
+        result = search_all(enumerator)
         descriptions = [cfg.describe() for cfg in result.configs]
         assert len(descriptions) == len(set(descriptions))
 
     def test_contains_canonical_16x16_config(self, enumerator):
         """The classic 16x16 block with register tiling must be in the
         space (it is NWChem's fixed choice and the paper's Fig. 3)."""
-        result = enumerator.enumerate()
+        result = search_all(enumerator)
         wanted = None
         for cfg in result.configs:
             if (
@@ -150,21 +156,28 @@ class TestEnumerate:
         assert wanted is not None
 
     def test_internal_indices_always_on_tbk(self, enumerator, eq1):
-        for cfg in enumerator.enumerate().configs[:100]:
+        for cfg in search_all(enumerator).configs[:100]:
             for idx in eq1.internal_indices:
                 assert cfg.mapping_of(idx).dim is Dim.TB_K
 
     def test_max_configs_cap(self, eq1, v100):
         e = Enumerator(eq1, v100, max_configs=10)
-        result = e.enumerate()
-        assert result.stats.raw_combinations <= 11
+        result = search_all(e)
+        assert result.stats.raw_combinations <= 10
 
     def test_tiny_problem_falls_back_to_full_extents(self, v100):
         tiny = parse("ab-ak-kb", {"a": 2, "b": 2, "k": 2})
-        result = Enumerator(tiny, v100).enumerate()
+        result = search_all(Enumerator(tiny, v100))
         # Everything may be perf-pruned, but hardware-feasible configs
         # must exist for the generator's fallback.
         assert result.configs or result.feasible_rejects
+        # The fallback is counted and named in the selection mode.
+        with obs.tracing() as session:
+            kernel = Cogent(arch=v100, allow_split=False).generate(tiny)
+        counters = session.payload()["metrics"]["counters"]
+        assert counters["search.fallback.relaxed"] == 1
+        assert kernel.selection_mode.endswith("+relaxed")
+        assert "+relaxed" in kernel.summary()
 
 
 class TestPaperSearchSpace:

@@ -5,6 +5,8 @@ import pytest
 from repro import Cogent, parse
 from repro.core.generator import GeneratedKernel
 from repro.gpu.executor import verify_plan
+from repro.tccg import get
+from tests.oracles.search import ranked_configs
 
 
 class TestGenerate:
@@ -112,6 +114,29 @@ class TestRankAndPredict:
         sim = cogent_v100.predict(kernel.plan)
         assert est.total > 0
         assert sim.gflops > 0
+
+    @pytest.mark.parametrize("arch", ["P100", "V100"])
+    @pytest.mark.parametrize(
+        "name", ["ttm_mode1", "ttm_5d", "ccsd_mx3", "mo_stage1"]
+    )
+    def test_rank_configs_matches_oracle(self, name, arch):
+        """One columnar search ranks exactly what the materialising
+        enumeration + (cost, canonical key) sort does."""
+        generator = Cogent(arch=arch)
+        contraction = get(name).contraction()
+        got = generator.rank_configs(contraction)
+        want = ranked_configs(generator, contraction)
+        assert [(c.describe(), cost) for c, cost in got] == \
+            [(c.describe(), cost) for c, cost in want]
+
+    def test_rank_configs_relaxed_matches_oracle(self, cogent_v100):
+        # Everything perf-pruned: both rank the hardware-clean rejects.
+        contraction = parse("ab-ak-kb", 4)
+        got = cogent_v100.rank_configs(contraction)
+        want = ranked_configs(cogent_v100, contraction)
+        assert got
+        assert [(c.describe(), cost) for c, cost in got] == \
+            [(c.describe(), cost) for c, cost in want]
 
     def test_best_config_beats_median_by_model(self, cogent_v100,
                                                eq1_repr):

@@ -10,9 +10,9 @@ from repro.gpu.memory import (
     TransactionCounter,
     VectorizedReplay,
     count_transactions,
-    count_transactions_reference,
     sampled_is_exact,
 )
+from tests.oracles.replay import count_transactions_reference
 
 
 def make_plan(c, **spec):

@@ -25,6 +25,7 @@ from repro.core.pipeline import (
     compute_schedule,
     plan_memory,
 )
+from tests.oracles.path import object_path, vectorized_path
 
 
 @pytest.fixture(scope="module")
@@ -308,11 +309,8 @@ class TestApiAndCli:
         assert len(net.kernels) == 2
 
     def test_options_validation(self):
-        with pytest.raises(ValueError, match="path_engine"):
-            api.Options(path_engine="columnar")
         with pytest.raises(ValueError, match="memory_cap"):
             api.Options(memory_cap=0)
-        assert api.Options(path_engine="object").path_engine == "object"
 
     def test_cli_network_smoke(self, tmp_path, capsys):
         from repro.cli import main
@@ -361,12 +359,12 @@ class TestProperties:
         sizes = {l: e for l, e in zip(letters, extents)}
         spec = parse_network(expr, sizes)
         try:
-            obj = optimal_path(spec, engine="object")
+            obj = object_path(spec)
         except ContractionError:
             with pytest.raises(ContractionError):
-                optimal_path(spec, engine="vectorized")
+                vectorized_path(spec)
             return
-        vec = optimal_path(spec, engine="vectorized")
+        vec = vectorized_path(spec)
         assert vec.total_flops == obj.total_flops
         assert vec.peak_intermediate == obj.peak_intermediate
         assert [

@@ -26,9 +26,9 @@ from repro.gpu.executor import (
 from repro.gpu.memory import (
     VectorizedReplay,
     count_transactions,
-    count_transactions_reference,
     sampled_is_exact,
 )
+from tests.oracles.replay import count_transactions_reference
 
 # -- strategies -------------------------------------------------------------
 
