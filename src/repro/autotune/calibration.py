@@ -57,7 +57,6 @@ from ..core.program import (
 )
 from ..gpu.arch import GpuArch, get_arch
 from ..gpu.memory import count_transactions
-from ..gpu.occupancy import compute_occupancy
 from ..gpu.simulator import GpuSimulator
 
 #: Log-space feature vector, one weight per name and regime.  The
@@ -127,29 +126,16 @@ def plan_features(
     estimate = CostModel(plan.dtype_bytes, arch.transaction_bytes).estimate(
         plan, clipped=True
     )
-    occ = compute_occupancy(
-        arch,
-        plan.threads_per_block,
-        plan.smem_bytes,
-        plan.config.registers_per_thread(plan.dtype_bytes),
-    )
-    if occ.blocks_per_sm == 0:
-        raise ValueError(
-            f"plan cannot run on {arch.name}: blocked by {occ.limiter}"
-        )
-    fma_cycles = simulator._fma_cycles(plan, occ)
-    smem_cycles = simulator._smem_cycles(plan)
-    blocks_per_wave = occ.blocks_per_sm * arch.num_sms
-    waves = max(1, -(-plan.num_blocks // blocks_per_wave))
+    result = simulator.simulate(plan, estimate)
     return (
         1.0,
         math.log1p(estimate.load_a),
         math.log1p(estimate.load_b),
         math.log1p(estimate.store_c),
-        occ.fraction,
-        math.log1p(fma_cycles),
-        math.log1p(smem_cycles),
-        math.log1p(waves),
+        result.occupancy,
+        math.log1p(result.fma_cycles),
+        math.log1p(result.smem_cycles),
+        math.log1p(result.waves),
     )
 
 

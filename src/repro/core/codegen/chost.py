@@ -23,6 +23,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ... import obs
 from ..plan import KernelPlan
 from . import indexing as ix
 
@@ -170,7 +171,7 @@ def build_executable(
 
     ``fallback_cflags`` retries the compilation with a second flag set
     when the first fails (e.g. ``-march=native`` on compilers that do
-    not support it).
+    not support it); each retry counts ``chost.build.fallback``.
     """
     workdir.mkdir(parents=True, exist_ok=True)
     src = workdir / f"{stem}.c"
@@ -180,7 +181,9 @@ def build_executable(
     if fallback_cflags is not None:
         attempts.append(tuple(fallback_cflags))
     stderr = ""
-    for flags in attempts:
+    for attempt, flags in enumerate(attempts):
+        if attempt:
+            obs.inc("chost.build.fallback")
         proc = subprocess.run(
             [cc, *flags, "-o", str(exe), str(src)],
             capture_output=True, text=True,

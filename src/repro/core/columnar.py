@@ -17,13 +17,18 @@ rule over a whole batch of Cartesian-product positions.
 Exactness contract: for every product position, each vectorized
 predicate agrees with the corresponding
 :class:`~repro.core.constraints.ConstraintChecker` ``_rule_*`` method,
-and :meth:`ColumnarBatch.costs` equals
-:meth:`repro.core.costmodel.CostModel.cost` bit-for-bit (all arithmetic
-is int64; the only float is the occupancy fraction, computed with the
-identical operations as :func:`repro.gpu.occupancy.compute_occupancy`).
+:meth:`ColumnarBatch.costs` equals
+:meth:`repro.core.costmodel.CostModel.cost` bit-for-bit, and the
+per-tensor columns of :meth:`ColumnarBatch.clipped_traffic` equal
+``CostModel.estimate(plan, clipped=True)``'s ``load_a``/``load_b``/
+``store_c``.  Costs are int64 arithmetic; the floats — the occupancy
+fraction (:func:`repro.gpu.occupancy.occupancy_columns`) and the
+clipped traffic's coverage factors — repeat the per-plan operations in
+the same order, so they round identically.
 The per-plan object search in ``tests/oracles/search.py`` is the
 oracle; the property tests in ``tests/test_columnar.py`` pin the
-agreement.
+agreement.  :meth:`repro.gpu.simulator.GpuSimulator.simulate_batch`
+reads these columns for the top-k re-rank.
 
 A flat product position ``p`` decomposes fastest-last to match
 ``itertools.product(x_partials, y_partials, k_partials)``:
@@ -40,6 +45,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..gpu.arch import GpuArch
+from ..gpu.occupancy import occupancy_columns
 from .constraints import (
     HARDWARE_RULES,
     PERFORMANCE_RULES,
@@ -49,6 +55,7 @@ from .constraints import (
 from .costmodel import row_transaction_columns
 from .ir import Contraction, TensorRef
 from .mapping import (
+    Dim,
     KernelConfig,
     canonical_key_from_spec,
     config_from_spec,
@@ -62,11 +69,17 @@ Entry = Tuple[str, int]
 #: stripe stays cache-resident.
 DEFAULT_BATCH_SIZE = 32768
 
-_INT64_MAX = np.iinfo(np.int64).max
-
 
 def _ceil_div(a, b):
     return -(-a // b)
+
+
+@dataclass(frozen=True)
+class SidePartial:
+    """A partial configuration for one side: TB entries + REG entries."""
+
+    tb: Tuple[Entry, ...]
+    reg: Tuple[Entry, ...]
 
 
 @dataclass
@@ -196,6 +209,38 @@ class ColumnarSpace:
 
     def batch(self, positions: np.ndarray) -> "ColumnarBatch":
         return ColumnarBatch(self, np.asarray(positions, dtype=np.int64))
+
+    @classmethod
+    def batch_of(
+        cls,
+        contraction: Contraction,
+        arch: GpuArch,
+        configs: Sequence[KernelConfig],
+        dtype_bytes: int = 8,
+    ) -> "ColumnarBatch":
+        """A batch whose rows are ``configs``, in order.
+
+        The families are the configs' own partials (deduplicated), so
+        the space is only as large as the distinct partials among
+        ``configs``; GRID indices keep tile 1, as every config has it.
+        """
+        x_rows: Dict[SidePartial, int] = {}
+        y_rows: Dict[SidePartial, int] = {}
+        k_rows: Dict[Tuple[Entry, ...], int] = {}
+        coords = []
+        for config in configs:
+            x, y, k = _partials(config)
+            coords.append((
+                x_rows.setdefault(x, len(x_rows)),
+                y_rows.setdefault(y, len(y_rows)),
+                k_rows.setdefault(k, len(k_rows)),
+            ))
+        space = cls(contraction, arch, list(x_rows), list(y_rows),
+                    list(k_rows), dtype_bytes=dtype_bytes)
+        return space.batch(np.array(
+            [(x * space.n_y + y) * space.n_k + k for x, y, k in coords],
+            dtype=np.int64,
+        ))
 
     # -- materialisation (final survivors only) --------------------------
 
@@ -335,6 +380,33 @@ class ColumnarSpace:
         return run
 
 
+def _partials(config: KernelConfig) -> Tuple:
+    """A config's (x partial, y partial, TB_k entries), in one pass.
+
+    Compares dims by identity: hashing an Enum member runs Python code,
+    and this runs once per mapping of every re-ranked config.
+    """
+    tb_x, reg_x, tb_y, reg_y, tb_k = [], [], [], [], []
+    for m in config.mappings:
+        dim = m.dim
+        entry = (m.index, m.tile)
+        if dim is Dim.TB_X:
+            tb_x.append(entry)
+        elif dim is Dim.REG_X:
+            reg_x.append(entry)
+        elif dim is Dim.TB_Y:
+            tb_y.append(entry)
+        elif dim is Dim.REG_Y:
+            reg_y.append(entry)
+        elif dim is Dim.TB_K:
+            tb_k.append(entry)
+    return (
+        SidePartial(tuple(tb_x), tuple(reg_x)),
+        SidePartial(tuple(tb_y), tuple(reg_y)),
+        tuple(tb_k),
+    )
+
+
 class ColumnarBatch:
     """One batch of flat product positions with lazily derived columns."""
 
@@ -363,10 +435,8 @@ class ColumnarBatch:
 
     @cached_property
     def registers(self) -> np.ndarray:
-        sp = self.space
-        reg_x = sp.reg_x_size[self.xi]
-        reg_y = sp.reg_y_size[self.yi]
-        words = sp.dtype_bytes // 4
+        reg_x, reg_y = self.reg_x, self.reg_y
+        words = self.space.dtype_bytes // 4
         return (reg_x * reg_y + reg_x + reg_y) * words + 24
 
     @cached_property
@@ -379,46 +449,29 @@ class ColumnarBatch:
         return self.space.steps_k[self.ki]
 
     @cached_property
+    def reg_x(self) -> np.ndarray:
+        return self.space.reg_x_size[self.xi]
+
+    @cached_property
+    def reg_y(self) -> np.ndarray:
+        return self.space.reg_y_size[self.yi]
+
+    @cached_property
+    def tb_k(self) -> np.ndarray:
+        return self.space.tbk_tile[self.ki]
+
+    @cached_property
     def occupancy_fraction(self) -> np.ndarray:
         """Vectorized :func:`repro.gpu.occupancy.compute_occupancy`.
 
-        Same integer min over the per-SM limits and the same float
-        division, so the fraction compared against the policy floor is
+        :func:`~repro.gpu.occupancy.occupancy_columns` runs the same
+        integer min over the per-SM limits and the same float division,
+        so the fraction compared against the policy floor is
         bit-identical to the per-plan one.
         """
-        arch = self.space.arch
-        threads = self.threads
-        smem = self.smem_bytes
-        regs = self.registers
-        if arch.max_threads_per_sm == 0:
-            return np.zeros(len(self), dtype=np.float64)
-        blocks = np.full(len(self), arch.max_blocks_per_sm, dtype=np.int64)
-        np.minimum(
-            blocks, arch.max_threads_per_sm // np.maximum(threads, 1),
-            out=blocks,
-        )
-        smem_limit = np.where(
-            smem > 0,
-            arch.shared_mem_per_sm // np.maximum(smem, 1),
-            _INT64_MAX,
-        )
-        np.minimum(blocks, smem_limit, out=blocks)
-        regs_per_block = regs * threads
-        reg_limit = np.where(
-            regs_per_block > 0,
-            arch.registers_per_sm // np.maximum(regs_per_block, 1),
-            _INT64_MAX,
-        )
-        np.minimum(blocks, reg_limit, out=blocks)
-        fraction = np.minimum(
-            1.0, (blocks * threads) / arch.max_threads_per_sm
-        )
-        runnable = (
-            (threads <= arch.max_threads_per_block)
-            & (smem <= arch.shared_mem_per_block)
-            & (regs <= arch.max_registers_per_thread)
-        )
-        return np.where(runnable, fraction, 0.0)
+        return occupancy_columns(
+            self.space.arch, self.threads, self.smem_bytes, self.registers
+        )[1]
 
     # -- vectorized Algorithm-2 predicates --------------------------------
 
@@ -517,3 +570,41 @@ class ColumnarBatch:
         ) * sp.steps_k[ki] * blocks
         stores = sp.store_per_block[xi, yi] * blocks
         return loads + stores
+
+    def clipped_traffic(
+        self,
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Per-row ``(load_a, load_b, store_c)`` transactions, clipped.
+
+        The :meth:`costs` terms per tensor, each scaled by the tensor's
+        in-bounds row ``coverage`` (the product over its non-FVI axes
+        of ``extent / (num_tiles * tile)``, in storage order) and
+        truncated — equal to ``CostModel.estimate(plan, clipped=True)``
+        of the materialised plan.
+        """
+        sp = self.space
+        c = sp.contraction
+        blocks = self.num_blocks
+        steps = self.num_steps
+        x_loads = sp.load_x_per_step[self.xi, self.ki] * steps * blocks
+        y_loads = sp.load_y_per_step[self.yi, self.ki] * steps * blocks
+        a_on_x = c.a is c.x_input or c.a.name == c.x_input.name
+        load_a, load_b = (x_loads, y_loads) if a_on_x else (y_loads, x_loads)
+        stores = sp.store_per_block[self.xi, self.yi] * blocks
+        return tuple(
+            (total * self._coverage(tensor)).astype(np.int64)
+            for tensor, total in (
+                (c.a, load_a), (c.b, load_b), (c.c, stores),
+            )
+        )
+
+    def _coverage(self, tensor: TensorRef) -> np.ndarray:
+        """In-bounds row fraction of ``tensor``'s tiles, per row."""
+        sp = self.space
+        coverage = np.ones(len(self), dtype=np.float64)
+        for index in tensor.indices[1:]:
+            family = sp._family_of(index)
+            tile = sp._tiles(family)[index][sp.coord_for(self, family)]
+            extent = sp._extents[index]
+            coverage = coverage * (extent / (_ceil_div(extent, tile) * tile))
+        return coverage

@@ -203,6 +203,11 @@ class CostModel:
         per_row = row_transactions(
             row_elements, run, self.dtype_bytes, self.transaction_bytes
         )
+        # Fraction of tile rows in bounds.  Algorithm 3 charges every
+        # block a full tile even when tiles do not divide extents; on
+        # hardware the bounds predicate suppresses out-of-range rows.
+        # The FVI axis is excluded: a partially covered segment still
+        # issues its transactions.
         coverage = 1.0
         for axis in axes[1:]:
             coverage *= axis.extent / (axis.num_tiles * axis.tile)
@@ -243,20 +248,6 @@ class CostModel:
         if clipped:
             total = int(total * coverage)
         return total
-
-    def _coverage(self, plan: KernelPlan, tensor: TensorRef) -> float:
-        """Fraction of tile rows that are in bounds.
-
-        The paper's model charges every block a full tile even when
-        tiles do not divide extents; on hardware the bounds predicate
-        suppresses out-of-range rows entirely.  Rows along the tensor's
-        FVI are excluded: a partially covered segment still issues its
-        transactions.
-        """
-        factor = 1.0
-        for axis in plan.tensor_tile_axes(tensor)[1:]:
-            factor *= axis.extent / (axis.num_tiles * axis.tile)
-        return factor
 
     # -- whole-kernel estimate -----------------------------------------------
 

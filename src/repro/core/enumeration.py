@@ -28,7 +28,7 @@ import numpy as np
 
 from .. import obs
 from ..gpu.arch import GpuArch
-from .columnar import DEFAULT_BATCH_SIZE, ColumnarSpace
+from .columnar import DEFAULT_BATCH_SIZE, ColumnarSpace, SidePartial
 from .constraints import ConstraintChecker, ConstraintPolicy, RuleStats
 from .ir import Contraction, IndexKind
 from .mapping import KernelConfig
@@ -64,14 +64,6 @@ def paper_search_space(
     n_all = n_ext + n_int
     mapping = (4 ** n_ext) * (2 ** max(n_int - 1, 0))
     return mapping * (n_tile_choices ** max(n_all - 1, 0))
-
-
-@dataclass(frozen=True)
-class SidePartial:
-    """A partial configuration for one side: TB entries + REG entries."""
-
-    tb: Tuple[Entry, ...]
-    reg: Tuple[Entry, ...]
 
 
 @dataclass

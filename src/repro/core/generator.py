@@ -4,8 +4,8 @@ Pipeline (paper Sections III-IV): parse the contraction, enumerate
 mapping/tile-size configurations with hardware and performance pruning
 (Algorithm 2), rank the survivors with the DRAM-transaction cost model
 (Algorithm 3), optionally micro-benchmark the top-k candidates on the
-performance simulator (standing in for running them on the GPU), and
-emit CUDA for the winner.
+performance simulator in one columnar pass (standing in for running
+them on the GPU), and emit CUDA for the winner.
 
 >>> from repro import Cogent
 >>> gen = Cogent(arch="V100")
@@ -16,7 +16,6 @@ emit CUDA for the winner.
 from __future__ import annotations
 
 import copy
-import heapq
 import time
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
@@ -25,6 +24,7 @@ from .. import obs
 from ..gpu.arch import GpuArch, get_arch
 from ..gpu.simulator import GpuSimulator, ModelParams, SimulationResult
 from .codegen.registry import get_target, list_targets
+from .columnar import ColumnarSpace
 from .constraints import ConstraintPolicy
 from .costmodel import CostModel, TransactionEstimate
 from .enumeration import (
@@ -35,7 +35,7 @@ from .enumeration import (
     Enumerator,
 )
 from .ir import Contraction
-from .mapping import KernelConfig, canonical_key
+from .mapping import KernelConfig
 from .merging import MergeSpec, merge_operands, normalize, unmerge_output
 from .parser import SizesArg, parse
 from .plan import KernelPlan
@@ -540,25 +540,24 @@ class Cogent:
         candidates = [CandidateScore(cfg, cost) for cfg, cost in ranked]
         if self.top_k == 1 or len(candidates) == 1:
             return candidates, "cost-model" + suffix
-        # Micro-benchmark the top-k on the simulator and re-rank them
-        # with a bounded streaming merge; ties on simulated time break
-        # on (model cost, canonical key) to stay deterministic across
-        # worker counts.
+        # Micro-benchmark the top-k on the simulator in one columnar
+        # pass.  The head arrives in (model cost, canonical key) order,
+        # so a stable sort on simulated time breaks ties on (cost, key)
+        # and stays deterministic across worker counts.
         head = candidates[: self.top_k]
         sim_start = time.perf_counter()
         with obs.span("simulate"):
-            for cand in head:
-                plan = KernelPlan(contraction, cand.config, self.dtype_bytes)
-                cand.simulated = self.simulator.simulate(plan)
+            batch = ColumnarSpace.batch_of(
+                contraction, self.arch, [cand.config for cand in head],
+                self.dtype_bytes,
+            )
+            results = self.simulator.simulate_batch(batch)
         sim_s = time.perf_counter() - sim_start
+        for cand, result in zip(head, results):
+            cand.simulated = result
         obs.inc("search.simulated", len(head))
         obs.observe("search.simulation_s", sim_s)
-        head = heapq.nsmallest(
-            self.top_k, head,
-            key=lambda cand: (
-                cand.simulated.time_s, cand.cost, canonical_key(cand.config)
-            ),
-        )
+        head.sort(key=lambda cand: cand.simulated.time_s)
         stats = enumeration.search_stats
         if stats is not None:
             stats.simulation_s += sim_s

@@ -9,5 +9,10 @@ Each oracle is the slow, per-object form of a vectorized path in
 * :mod:`tests.oracles.replay` — the per-block/per-step transaction
   loop, against :class:`repro.gpu.memory.VectorizedReplay`;
 * :mod:`tests.oracles.path` — the contraction-order DPs forced one way
-  or the other, for :func:`repro.core.network.optimal_path` parity.
+  or the other, for :func:`repro.core.network.optimal_path` parity;
+* :mod:`tests.oracles.rerank` — the per-candidate simulator re-rank
+  (a plan and a scalar time model per candidate, then
+  ``(time, cost, canonical key)`` order), against
+  :meth:`repro.gpu.simulator.GpuSimulator.simulate_batch` in
+  kernel selection.
 """

@@ -21,6 +21,7 @@ from repro.core.codegen import (
     runnable_targets,
 )
 from repro.core.codegen import registry as registry_mod
+from repro.core.codegen.chost import build_executable
 from repro.core.mapping import config_from_spec
 from repro.core.parser import parse
 from repro.core.plan import KernelPlan
@@ -249,6 +250,27 @@ class TestObsCounters:
         with obs.tracing() as sess:
             get_target("cemu").compile_and_run(plan, a, b)
         assert sess.metrics.counter("codegen.target.cemu.runs") == 1
+
+    @requires_cc
+    def test_build_fallback_counted(self, plan, tmp_path):
+        source = get_target("cemu").emit_kernel(plan, "tc_kernel")
+        with obs.tracing() as sess:
+            exe = build_executable(
+                source, tmp_path,
+                cflags=("-O2", "--no-such-compiler-flag"),
+                fallback_cflags=("-O2", "-std=c99"),
+            )
+        assert exe.exists()
+        assert sess.metrics.counter("chost.build.fallback") == 1
+
+    @requires_cc
+    def test_first_flag_set_builds_without_fallback(self, plan, tmp_path):
+        source = get_target("cemu").emit_kernel(plan, "tc_kernel")
+        with obs.tracing() as sess:
+            build_executable(
+                source, tmp_path, fallback_cflags=("-O0", "-std=c99"),
+            )
+        assert sess.metrics.counter("chost.build.fallback") == 0
 
 
 @requires_cc

@@ -9,9 +9,10 @@ columnar search to it:
   pruning statistics, fallback sets and per-rule counters on real
   contractions, serial and sharded;
 * hypothesis property tests — every vectorized rule predicate agrees
-  with the corresponding ``_rule_*`` method and the closed-form
-  Algorithm-3 cost equals ``CostModel.cost`` exactly, per product
-  position, on random contractions;
+  with the corresponding ``_rule_*`` method, the closed-form
+  Algorithm-3 cost equals ``CostModel.cost`` and the clipped traffic
+  columns equal ``CostModel.estimate(plan, clipped=True)`` exactly, per
+  product position, on random contractions;
 * a plain search emitting no deprecation warnings.
 """
 
@@ -25,6 +26,7 @@ from hypothesis import strategies as st
 from repro import parse
 from repro.core.constraints import HARDWARE_RULES, PERFORMANCE_RULES
 from repro.core.costmodel import CostModel, row_transaction_columns
+from repro.core.columnar import ColumnarSpace
 from repro.core.enumeration import Enumerator
 from repro.core.ir import Contraction, TensorRef
 from repro.core.mapping import canonical_key, canonical_key_from_spec
@@ -227,6 +229,71 @@ def test_full_search_parity_on_random_contractions(contraction):
     assert _ranked(col) == _ranked(obj)
     assert col.stats == obj.stats
     assert list(col.reject_costs or []) == list(obj.reject_costs or [])
+
+
+def _assert_clipped_traffic_matches(space, positions):
+    batch = space.batch(positions)
+    load_a, load_b, store_c = batch.clipped_traffic()
+    model = CostModel(space.dtype_bytes, space.transaction_bytes)
+    for row, position in enumerate(positions):
+        plan = KernelPlan(
+            space.contraction, space.config_at(int(position)),
+            space.dtype_bytes,
+        )
+        estimate = model.estimate(plan, clipped=True)
+        assert (
+            int(load_a[row]), int(load_b[row]), int(store_c[row])
+        ) == (estimate.load_a, estimate.load_b, estimate.store_c), (
+            f"clipped traffic disagrees at position {position} "
+            f"for {space.contraction} config {plan.config.describe()}"
+        )
+
+
+@settings(
+    max_examples=30,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(
+    data=st.data(),
+    contraction=contractions(max_extent=9),
+    dtype_bytes=st.sampled_from([4, 8]),
+)
+def test_clipped_traffic_matches_estimate(data, contraction, dtype_bytes):
+    """Per-tensor clipped columns equal the per-plan clipped estimate."""
+    space = Enumerator(
+        contraction, VOLTA_V100, dtype_bytes
+    ).columnar_space()
+    if space.size == 0:
+        return
+    positions = np.arange(min(space.size, 24), dtype=np.int64)
+    if space.size > 24:
+        positions = np.array(sorted(data.draw(st.lists(
+            st.integers(0, space.size - 1),
+            min_size=8, max_size=24, unique=True,
+        ))), dtype=np.int64)
+    _assert_clipped_traffic_matches(space, positions)
+
+
+@pytest.mark.parametrize("expr,sizes", PARITY_CASES[:3])
+def test_clipped_traffic_matches_estimate_on_parity_cases(expr, sizes):
+    space = Enumerator(parse(expr, sizes), PASCAL_P100).columnar_space()
+    step = max(1, space.size // 97)
+    _assert_clipped_traffic_matches(
+        space, np.arange(0, space.size, step, dtype=np.int64)
+    )
+
+
+def test_batch_of_rows_are_the_configs():
+    contraction = parse("abcd-aebf-dfce", 24)
+    configs = Enumerator(contraction, VOLTA_V100).search(keep=32).configs
+    batch = ColumnarSpace.batch_of(contraction, VOLTA_V100, configs)
+    assert len(batch) == len(configs)
+    assert [
+        batch.space.config_at(int(p)).describe() for p in batch.positions
+    ] == [config.describe() for config in configs]
+    space = batch.space
+    assert max(space.n_x, space.n_y, space.n_k) <= len(configs)
 
 
 @given(
